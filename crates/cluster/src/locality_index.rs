@@ -20,10 +20,10 @@
 //! * **per-task memos** of the full per-executor locality vector, filled
 //!   lazily and invalidated by generation mismatch — a cache hit turns
 //!   `task_locality` into two array reads;
-//! * a **per-stage valid-levels memo** keyed on (global generation,
-//!   pending-set version, claimed count), so Spark's
-//!   `computeValidLocalityLevels` runs once per stage per scheduling round
-//!   instead of once per placement probe;
+//! * **per-stage valid-level counts** folded once and maintained from the
+//!   pending-churn and residency-flip delta streams, so Spark's
+//!   `computeValidLocalityLevels` costs O(changed since the last query)
+//!   instead of a pending walk per placement probe;
 //! * an **inverted pending-work index**: for every (stage, sub-ANY
 //!   locality level, executor), the number of *pending* tasks that would
 //!   run at exactly that level there, plus a strict variant counting only
@@ -35,9 +35,9 @@
 //!   rack a single-block flip can re-level. Placement consults the counts
 //!   ([`pending_level_count`](LocalityIndex::pending_level_count),
 //!   [`pending_strict_count`](LocalityIndex::pending_strict_count)) to
-//!   skip probing executors with provably no work at a level; the counts
-//!   are claims-blind, which keeps the gate *conservative and exact* —
-//!   see `DESIGN.md` §14 for the order-preservation argument.
+//!   skip probing executors with provably no work at a level, which keeps
+//!   the gate *conservative and exact* — see `DESIGN.md` §14 for the
+//!   order-preservation argument.
 //!
 //! The index owns the [`DataMap`] and mirrors every mutation
 //! ([`add_disk`](LocalityIndex::add_disk),
@@ -111,9 +111,7 @@ struct TaskMemo {
 
 /// Per-stage valid-level contribution counts, maintained incrementally.
 /// `cnt[l]` is the number of pending tasks whose contribution mask
-/// includes level `l`; a query subtracts the claimed tasks' masks on the
-/// spot, so claims made inside an assignment batch never invalidate
-/// anything. Folding is lazy: the first query walks pending once
+/// includes level `l`. Folding is lazy: the first query walks pending once
 /// (`init`), and from then on launch pops subtract the folded mask,
 /// re-inserts add a fresh one, and residency flips enqueue exactly the
 /// re-leveled pending readers (`dirty`, fed by the same `inv_commit`
@@ -156,11 +154,11 @@ fn contrib_sub(cnt: &mut [u32; 4], mut mask: u8) {
 /// examination fans the task's level on *every* executor (which
 /// `ensure_task` computes in one pass anyway) out to per-(executor,
 /// level) candidate bitsets. A probe for (executor, level) is then a
-/// word-wise `candidates & pending & !claimed` scan — the first set bit
-/// is exactly the task the sequential first-match walk would return, so
-/// one examination pass is shared by every executor and every pick of an
-/// assignment batch, and each task is examined at most once per *stage*
-/// (not per stage × executor) for the stage's whole lifetime.
+/// word-wise `candidates & pending` scan — the first set bit is exactly
+/// the task the sequential first-match walk would return, so one
+/// examination pass is shared by every executor and every pick, and each
+/// task is examined at most once per *stage* (not per stage × executor)
+/// for the stage's whole lifetime.
 ///
 /// The scan is **persistent**: it survives launch pops (popped tasks'
 /// bits are masked by the pending bitmap, and the frontier resumes
@@ -974,11 +972,8 @@ impl LocalityIndex {
 
     /// Pending tasks of stage `s` at exactly `level` on executor `e`.
     ///
-    /// Claims-blind by design, which keeps the zero-test *conservative
-    /// and exact* as a probe gate: a claims-aware probe only ever sees a
-    /// subset of these tasks, so a zero here proves
-    /// [`scan_first`](Self::scan_first) would return `None` — and a
-    /// non-zero takes the real claims-aware probe, identical to the
+    /// A zero here proves [`scan_first`](Self::scan_first) would return
+    /// `None` — and a non-zero takes the real probe, identical to the
     /// ungated walk. First-match order is therefore preserved bit-for-bit.
     // lint: allow(panic-surface): stage/executor ids are dense and bound the per-stage count rows by construction
     pub fn pending_level_count(&self, s: usize, e: ExecId, level: Locality) -> u32 {
@@ -1002,8 +997,9 @@ impl LocalityIndex {
     /// Pending tasks of stage `s` at exactly `level` on executor `e`
     /// whose best level anywhere is also `level` — the strict probe's
     /// candidate count (`best ≥ level` with `level(e) = level` collapses
-    /// to `best = level`, since `best ≤ level(e)` always). Claims-blind
-    /// like [`pending_level_count`](Self::pending_level_count).
+    /// to `best = level`, since `best ≤ level(e)` always). Gates the
+    /// strict probe like [`pending_level_count`](Self::pending_level_count)
+    /// gates the plain one.
     // lint: allow(panic-surface): stage/executor ids are dense and bound the per-stage count rows by construction
     pub fn pending_strict_count(&self, s: usize, e: ExecId, level: Locality) -> u32 {
         let li = level.index();
@@ -1251,27 +1247,17 @@ impl LocalityIndex {
     }
 
     /// Valid locality levels of stage `s` (Spark's
-    /// `computeValidLocalityLevels`), over its unclaimed pending tasks.
-    /// `claimed_bits` marks tasks already claimed in the current assignment
-    /// batch (empty slice = none).
+    /// `computeValidLocalityLevels`), over its pending tasks.
     ///
     /// Equivalent to the sequential scan (pending tasks in ascending
     /// order, executors in id order per task, inner break on PROCESS):
-    /// the result is `{l ∈ {P,N,R} : some unclaimed pending task
-    /// contributes l} ∪ {ANY if any task is unclaimed}` — the scan's
-    /// early exits never change that set, only how fast it is found. The
-    /// per-stage contribution counts are folded once and maintained
-    /// incrementally from the pending-churn and residency-flip delta
-    /// streams (see `ContribState`); claims are *subtracted per
-    /// query*, so the picks of an assignment batch never invalidate
-    /// anything.
-    pub fn valid_levels(
-        &self,
-        s: usize,
-        pending: &PendingSet,
-        claimed_bits: &[u64],
-        claimed_count: u32,
-    ) -> ([Locality; 4], usize) {
+    /// the result is `{l ∈ {P,N,R} : some pending task contributes l} ∪
+    /// {ANY if any task is pending}` — the scan's early exits never
+    /// change that set, only how fast it is found. The per-stage
+    /// contribution counts are folded once and maintained incrementally
+    /// from the pending-churn and residency-flip delta streams (see
+    /// `ContribState`).
+    pub fn valid_levels(&self, s: usize, pending: &PendingSet) -> ([Locality; 4], usize) {
         let mut cms = self.contrib_memo.borrow_mut();
         let cm = &mut cms[s];
         if !cm.init {
@@ -1319,29 +1305,11 @@ impl LocalityIndex {
             dirty.clear();
             cm.dirty = dirty;
         }
-        let mut cnt = cm.cnt;
-        if claimed_count > 0 {
-            let mut memo = self.memo.borrow_mut();
-            for (w, &word) in claimed_bits.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let k = w as u32 * 64 + bits.trailing_zeros();
-                    bits &= bits - 1;
-                    let mut c = self.ensure_task(&mut memo, s, k as usize).contrib;
-                    while c != 0 {
-                        let l = c.trailing_zeros() as usize;
-                        cnt[l] -= 1;
-                        c &= c - 1;
-                    }
-                }
-            }
-        }
-        let any_unclaimed = pending.len() as u32 > claimed_count;
         let mut levels = [Locality::Any; 4];
         let mut len = 0;
-        if any_unclaimed {
+        if !pending.is_empty() {
             for l in [Locality::Process, Locality::Node, Locality::Rack] {
-                if cnt[l.index()] > 0 {
+                if cm.cnt[l.index()] > 0 {
                     levels[len] = l;
                     len += 1;
                 }
@@ -1352,7 +1320,7 @@ impl LocalityIndex {
         (levels, len)
     }
 
-    /// First unclaimed pending task of stage `s` whose locality on `e` is
+    /// First pending task of stage `s` whose locality on `e` is
     /// exactly `level` — the placement probe behind
     /// `pending_with_locality`. With `strict`, additionally require the
     /// task's best achievable level anywhere to be no better than `level`.
@@ -1372,7 +1340,6 @@ impl LocalityIndex {
         level: Locality,
         strict: bool,
         pending: &PendingSet,
-        claimed_bits: &[u64],
     ) -> Option<u32> {
         self.queries.set(self.queries.get() + 1);
         let mut sms = self.scan_memo.borrow_mut();
@@ -1400,14 +1367,14 @@ impl LocalityIndex {
         let lu = li as u8;
         let words = sm.words;
         let pw = pending.word_bits();
-        // 1. Already-examined candidates: first set bit of
-        // `row & pending & !claimed`, ascending. Popped tasks are masked
-        // out by the pending bitmap (their bits may be stale — patching
-        // tracks pending readers only); the strict filter reads the live
-        // best-anywhere level, not one captured at scan time.
+        // 1. Already-examined candidates: first set bit of `row & pending`,
+        // ascending. Popped tasks are masked out by the pending bitmap
+        // (their bits may be stale — patching tracks pending readers only);
+        // the strict filter reads the live best-anywhere level, not one
+        // captured at scan time.
         let row = &sm.bits[(e.index() * 4 + li) * words..][..words];
         for (w, &rw) in row.iter().enumerate() {
-            let mut cand = rw & pw[w] & !claimed_bits.get(w).copied().unwrap_or(0);
+            let mut cand = rw & pw[w];
             while cand != 0 {
                 let k = (w * 64) as u32 + cand.trailing_zeros();
                 cand &= cand - 1;
@@ -1436,7 +1403,6 @@ impl LocalityIndex {
         // a since-popped task: `next_after` chains through it (see
         // `PendingSet::next_after` for why no member can be skipped while
         // the inserts key is unchanged).
-        let claimed = |k: u32| -> bool { !claimed_bits.is_empty() && get_bit(claimed_bits, k) };
         let mut memo = self.memo.borrow_mut();
         while let Some(k) = sm.cursor {
             sm.cursor = pending.next_after(k);
@@ -1450,7 +1416,7 @@ impl LocalityIndex {
             for (e2, &l2) in m.levels.iter().enumerate() {
                 sm.bits[(e2 * 4 + l2 as usize) * words + w] |= b;
             }
-            if m.levels[e.index()] == lu && !claimed(k) && (!strict || m.best >= lu) {
+            if m.levels[e.index()] == lu && (!strict || m.best >= lu) {
                 return Some(k);
             }
         }
@@ -1599,32 +1565,22 @@ mod tests {
     }
 
     #[test]
-    fn valid_levels_memo_tracks_pending_and_claims() {
+    fn valid_levels_memo_tracks_pending() {
         let (_dag, _topo, mut idx) = build();
         let mut pending = PendingSet::full(6);
-        let (lv, n) = idx.valid_levels(0, &pending, &[], 0);
+        let (lv, n) = idx.valid_levels(0, &pending);
         assert!(n >= 2);
         assert_eq!(lv[n - 1], Locality::Any);
         let rebuilds0 = idx.stats().valid_level_rebuilds;
-        let _ = idx.valid_levels(0, &pending, &[], 0); // memo hit
+        let _ = idx.valid_levels(0, &pending); // memo hit
         assert_eq!(idx.stats().valid_level_rebuilds, rebuilds0);
         // A pending pop (mirrored per the maintenance contract) adjusts
         // the folded counts in place: no rebuild.
         pending.remove(0);
         idx.on_pending_removed(0, 0);
-        let _ = idx.valid_levels(0, &pending, &[], 0);
+        let _ = idx.valid_levels(0, &pending);
         assert_eq!(idx.stats().valid_level_rebuilds, rebuilds0);
         assert!(idx.check_inv_consistency(0, &pending));
-        // Claims subtract from the contribution counts per query — no
-        // rebuild, and a fully-claimed stage has no valid levels.
-        let claimed = vec![0b10u64]; // task 1 claimed
-        let (_, n1) = idx.valid_levels(0, &pending, &claimed, 1);
-        assert_eq!(idx.stats().valid_level_rebuilds, rebuilds0);
-        assert!(n1 >= 1);
-        let all = vec![0b111110u64]; // tasks 1..=5 claimed (0 was removed)
-        let (_, n2) = idx.valid_levels(0, &pending, &all, 5);
-        assert_eq!(n2, 0);
-        assert_eq!(idx.stats().valid_level_rebuilds, rebuilds0);
     }
 
     #[test]
@@ -1643,20 +1599,17 @@ mod tests {
             for level in Locality::ALL {
                 for strict in [false, true] {
                     assert_eq!(
-                        idx.scan_first(0, ExecId(e), level, strict, &pending, &[]),
+                        idx.scan_first(0, ExecId(e), level, strict, &pending),
                         seq(&idx, ExecId(e), level, strict),
                         "exec {e} level {level:?} strict {strict}"
                     );
                 }
             }
         }
-        // Claims are skipped at query time without invalidating the memo.
+        // A repeat probe is served from the stage's persistent scan.
         let hits0 = idx.stats().score_cache_hits;
-        let unclaimed = idx.scan_first(0, ExecId(3), Locality::Process, false, &pending, &[]);
-        assert_eq!(unclaimed, Some(2));
-        let claimed = vec![0b100u64]; // task 2 claimed
-        let after = idx.scan_first(0, ExecId(3), Locality::Process, false, &pending, &claimed);
-        assert_eq!(after, None);
+        let first = idx.scan_first(0, ExecId(3), Locality::Process, false, &pending);
+        assert_eq!(first, Some(2));
         assert!(idx.stats().score_cache_hits > hits0);
     }
 
@@ -1775,7 +1728,7 @@ mod tests {
                     } else {
                         idx.pending_level_count(0, ExecId(e), level)
                     };
-                    let probe = idx.scan_first(0, ExecId(e), level, strict, &pending, &[]);
+                    let probe = idx.scan_first(0, ExecId(e), level, strict, &pending);
                     if gate == 0 {
                         assert_eq!(probe, None, "exec {e} {level:?} strict {strict}");
                     } else {

@@ -195,8 +195,9 @@ pub struct ExecTrace {
 /// fingerprints — they describe *how* the result was computed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Calls into `Scheduler::schedule` (batched: one per fill-the-slots
-    /// round, not one per launched task).
+    /// Calls into `Scheduler::schedule`: one per launched assignment plus
+    /// the final empty call of each scheduling opportunity for the
+    /// one-pick schedulers; fewer for a scheduler returning batches.
     pub schedule_invocations: u64,
     /// Full from-scratch constructions of the persistent `ClusterView`
     /// (O(1) per run: once at startup; deltas keep it current after).
@@ -204,7 +205,8 @@ pub struct SchedulerStats {
     /// Incremental `ViewDelta`s applied to the persistent view.
     pub view_deltas: u64,
     /// Batches cut short because cache state changed (index generation
-    /// moved) or an assignment failed validation mid-application.
+    /// moved) or an assignment failed validation mid-application. Always
+    /// 0 for schedulers returning at most one assignment per call.
     pub batches_discarded: u64,
     /// Assignments dropped by those discards.
     pub assignments_discarded: u64,

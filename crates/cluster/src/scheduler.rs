@@ -21,21 +21,25 @@ pub struct Assignment {
 
 /// A task scheduling policy. The simulator calls [`Scheduler::schedule`]
 /// whenever resources free up, stages become ready, or the periodic tick
-/// fires; the scheduler returns a batch of assignments computed against the
-/// view (decrementing its own shadow of free resources within the batch).
+/// fires, and keeps calling it after each applied result until it returns
+/// nothing.
 pub trait Scheduler {
     fn name(&self) -> String;
 
     /// Produce assignments for the current state. Called repeatedly until it
-    /// returns an empty batch. Must not assign more resources than the view
-    /// reports free, nor the same pending task twice in one batch.
+    /// returns an empty vector. Must not assign more resources than the view
+    /// reports free, nor the same pending task twice in one call.
     ///
-    /// Within-batch claim tracking is the scheduler's own job (the view's
-    /// pending sets only shrink when the simulator confirms a launch).
-    /// Note the view's pending-work gates (`has_pending_at` /
-    /// `has_pending_strict_at`) are deliberately claims-blind: a zero
-    /// answer is valid under *any* claim state, so they may be used to
-    /// skip probes but never to conclude a claimed task is available.
+    /// Returning one assignment per call is the simplest contract: the
+    /// simulator launches it and calls again against the updated view (the
+    /// DAG-aware schedulers in `dagon-sched` do this). A scheduler may
+    /// instead return a batch, tracking its own within-batch claims (the
+    /// view's pending sets only shrink when the simulator confirms a
+    /// launch); the simulator discards a batch's tail once a launch moves
+    /// block residency or invalidates the next assignment. The view's
+    /// pending-work gates (`has_pending_at` / `has_pending_strict_at`)
+    /// know nothing of such claims: a zero proves absence, a non-zero
+    /// does not prove an unclaimed task exists.
     fn schedule(&mut self, view: &SimView<'_>) -> Vec<Assignment>;
 
     /// A stage's parents all completed; its tasks are now pending.
@@ -69,7 +73,7 @@ pub trait Scheduler {
     fn set_tracing(&mut self, _on: bool) {}
 
     /// Surrender the decision rationales buffered since the last drain,
-    /// one per assignment of the last non-empty `schedule` batch, in batch
+    /// one per assignment of the last non-empty `schedule` result, in
     /// order. Only called when tracing is on; the default (no rationale
     /// support) returns an empty vector.
     fn drain_decisions(&mut self) -> Vec<dagon_obs::SchedDecision> {

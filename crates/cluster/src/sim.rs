@@ -130,7 +130,7 @@ pub struct Simulation {
     producer_of_rdd: Vec<Option<StageId>>,
     /// Blocks evicted from some cache since the last lineage check — an
     /// eviction can drop the *last* copy of a block whose disk replica a
-    /// crash destroyed. Drained between scheduler batches; only populated
+    /// crash destroyed. Drained between `schedule` calls; only populated
     /// when faults are enabled.
     lost_pending: Vec<BlockId>,
     /// Run-lifetime `stage_slots` memo handed to every [`SimView`].
@@ -568,12 +568,16 @@ impl Simulation {
     // Scheduling
     // ------------------------------------------------------------------
 
-    /// Run the scheduler until no more assignments are produced. Each
-    /// `schedule` call returns a whole batch (one per free slot); the batch
-    /// is applied sequentially, but if applying an assignment changed
-    /// block residency (cache insertion/eviction — detectable as an index
-    /// generation bump) the rest of the batch was computed against stale
-    /// locality state and is discarded, falling back to a fresh call.
+    /// Run the scheduler until no more assignments are produced: launch
+    /// what one `schedule` call returns, then call again — Alg. 1's
+    /// per-step loop. The DAG-aware schedulers return at most one
+    /// assignment per call. A scheduler may return a larger batch
+    /// ([`crate::scheduler::GreedyFifo`], which drives the profiler's
+    /// sampling runs, does); it is applied in order, but if applying an
+    /// assignment changed block residency (cache insertion/eviction —
+    /// detectable as an index generation bump) or made the next one
+    /// invalid, the rest of the batch was computed against stale state and
+    /// is discarded, falling back to a fresh call.
     ///
     /// The executor view is *not* rebuilt here: [`ClusterView`] was kept
     /// current by the deltas every launch/teardown/fault emitted.
@@ -648,8 +652,8 @@ impl Simulation {
                 return;
             }
             // Decision rationales, paired with assignments by index. Only
-            // the applied prefix is recorded: a discarded batch tail's
-            // decisions never happened.
+            // the applied prefix of a multi-assignment batch is recorded:
+            // a discarded tail's decisions never happened.
             let decisions = if self.trace_on {
                 sched.drain_decisions()
             } else {
@@ -684,7 +688,7 @@ impl Simulation {
                 applied += 1;
             }
             // A launch can evict the last copy of a block a crash already
-            // de-replicated; settle lineage before the next batch.
+            // de-replicated; settle lineage before the next `schedule` call.
             self.drain_lost_pending(sched);
             if applied == 0 {
                 return;
@@ -693,9 +697,10 @@ impl Simulation {
     }
 
     /// If any recently-evicted block is now materialized nowhere, re-run
-    /// the lineage worklist. Called only between scheduler batches (never
-    /// mid-application: resubmission calls `on_stage_ready`, which would
-    /// reconcile a half-confirmed emit journal).
+    /// the lineage worklist. Called only between `schedule` calls, never
+    /// while a returned batch is being applied: resubmission re-pends
+    /// tasks and calls `on_stage_ready`, and the rest of the batch was
+    /// computed against the pending sets from before.
     fn drain_lost_pending(&mut self, sched: &mut dyn Scheduler) {
         if self.lost_pending.is_empty() {
             return;

@@ -4,12 +4,7 @@
 //! executor resources, and per-stage runtime statistics.
 //!
 //! Locality questions are answered by the [`LocalityIndex`] (memoized,
-//! generation-invalidated) instead of rescanning the block registry, and
-//! every pending-task query is *claims-aware*: it takes a
-//! [`ScheduleShadow`] recording the assignments already picked in the
-//! current batch, so one `schedule` call can fill every free slot while
-//! seeing exactly the state the sequential one-pick-per-call loop would
-//! have seen.
+//! generation-invalidated) instead of rescanning the block registry.
 
 // ExecId/StageId mints from bounded enumerations; dagon-lint rule D5
 // (narrow-cast) independently guards tick/size narrowing in this crate.
@@ -420,97 +415,13 @@ pub struct TaskView {
     pub loc_blocks: Vec<dagon_dag::BlockId>,
 }
 
-/// The scheduler's working state for one assignment batch: its shadow of
-/// free executor resources and the tasks it has already claimed. Pending
-/// queries subtract the claims, so each pick in a batch sees the same
-/// state it would have seen had the previous picks already been applied.
-#[derive(Clone, Debug, Default)]
-pub struct ScheduleShadow {
-    free: Vec<Resources>,
-    /// Count of executors with free shadow cpus, maintained by `claim` so
-    /// [`Self::any_free`] is O(1) instead of a per-pick executor scan.
-    n_free: usize,
-    claimed_count: Vec<u32>,
-    claimed_bits: Vec<Vec<u64>>,
-    touched: Vec<u32>,
-}
-
-impl ScheduleShadow {
-    pub fn new(view: &SimView<'_>) -> Self {
-        let mut s = Self {
-            free: Vec::with_capacity(view.execs.len()),
-            n_free: view.free_execs.len(),
-            claimed_count: vec![0; view.stages.len()],
-            claimed_bits: vec![Vec::new(); view.stages.len()],
-            touched: Vec::new(),
-        };
-        s.free.extend(view.execs.iter().map(|e| e.free));
-        s
-    }
-
-    /// Reset for a new batch against a fresh view (reuses allocations;
-    /// only stages touched last batch are cleared).
-    pub fn reset(&mut self, view: &SimView<'_>) {
-        self.free.clear();
-        self.free.extend(view.execs.iter().map(|e| e.free));
-        self.n_free = view.free_execs.len();
-        for &s in &self.touched {
-            self.claimed_count[s as usize] = 0;
-            for w in &mut self.claimed_bits[s as usize] {
-                *w = 0;
-            }
-        }
-        self.touched.clear();
-    }
-
-    /// Record a pick: decrement the shadow resources and mark the task
-    /// claimed.
-    pub fn claim(&mut self, view: &SimView<'_>, s: StageId, k: u32, e: ExecId) {
-        let demand = view.dag.stage(s).demand;
-        let fe = &mut self.free[e.index()];
-        let had_cpus = fe.cpus > 0;
-        *fe = fe.minus(demand);
-        if had_cpus && fe.cpus == 0 {
-            self.n_free -= 1;
-        }
-        let si = s.index();
-        if self.claimed_count[si] == 0 {
-            self.touched.push(s.0);
-        }
-        let bits = &mut self.claimed_bits[si];
-        if bits.is_empty() {
-            bits.resize(view.tasks[si].len().div_ceil(64).max(1), 0);
-        }
-        bits[(k / 64) as usize] |= 1 << (k % 64);
-        self.claimed_count[si] += 1;
-    }
-
-    pub fn claimed_count(&self, s: StageId) -> u32 {
-        self.claimed_count[s.index()]
-    }
-
-    pub fn is_claimed(&self, s: StageId, k: u32) -> bool {
-        let bits = &self.claimed_bits[s.index()];
-        !bits.is_empty() && bits[(k / 64) as usize] >> (k % 64) & 1 == 1
-    }
-
-    /// Claim bitset of a stage (empty slice = no claims).
-    pub fn claim_bits(&self, s: StageId) -> &[u64] {
-        &self.claimed_bits[s.index()]
-    }
-
-    pub fn free_of(&self, e: ExecId) -> Resources {
-        self.free[e.index()]
-    }
-
-    pub fn fits(&self, e: ExecId, demand: Resources) -> bool {
-        self.free[e.index()].fits(demand)
-    }
-
-    pub fn any_free(&self) -> bool {
-        self.n_free > 0
-    }
-}
+/// Placeholder kept only so the `OrderPolicy::rank` and `Placement::pick`
+/// signatures stay source-compatible for implementations outside this
+/// workspace (the benchmark's tracing wrappers). It carries no state: a
+/// `schedule` call makes one pick against the view itself, so there are
+/// no in-flight claims to shadow.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ScheduleShadow;
 
 /// Run-lifetime memo for [`SimView::stage_slots`], keyed on the view's
 /// *capacity* generation stamp (`cap_gen`). SensitivityAware consults the
@@ -632,19 +543,6 @@ impl<'a> SimView<'a> {
         self.ready.iter().map(|&s| StageId(s)).collect()
     }
 
-    /// Schedulable stages that still have *unclaimed* pending tasks — the
-    /// ready set as of the current point in an assignment batch. Filters
-    /// the ready list instead of scanning every stage.
-    pub fn assignable_stages(&self, shadow: &ScheduleShadow) -> Vec<StageId> {
-        self.ready
-            .iter()
-            .filter(|&&s| {
-                self.stages[s as usize].pending.len() as u32 > shadow.claimed_count(StageId(s))
-            })
-            .map(|&s| StageId(s))
-            .collect()
-    }
-
     /// Is any executor non-full?
     pub fn any_free_resource(&self) -> bool {
         !self.free_execs.is_empty()
@@ -673,47 +571,27 @@ impl<'a> SimView<'a> {
         self.index.task_best_level(s.index(), k)
     }
 
-    /// First unclaimed pending task of `s` achieving exactly `level` on
-    /// `e` whose best achievable level anywhere is no better than `level`
-    /// — i.e. a task that launching here does not rob of a better home.
+    /// First pending task of `s` achieving exactly `level` on `e` whose
+    /// best achievable level anywhere is no better than `level` — i.e. a
+    /// task that launching here does not rob of a better home.
     pub fn pending_with_locality_strict(
         &self,
         s: StageId,
         e: ExecId,
         level: Locality,
-        shadow: &ScheduleShadow,
     ) -> Option<u32> {
-        self.index.scan_first(
-            s.index(),
-            e,
-            level,
-            true,
-            &self.stages[s.index()].pending,
-            shadow.claim_bits(s),
-        )
+        let pending = &self.stages[s.index()].pending;
+        self.index.scan_first(s.index(), e, level, true, pending)
     }
 
-    /// First unclaimed pending task of `s` achieving exactly `level` on `e`.
-    pub fn pending_with_locality(
-        &self,
-        s: StageId,
-        e: ExecId,
-        level: Locality,
-        shadow: &ScheduleShadow,
-    ) -> Option<u32> {
-        self.index.scan_first(
-            s.index(),
-            e,
-            level,
-            false,
-            &self.stages[s.index()].pending,
-            shadow.claim_bits(s),
-        )
+    /// First pending task of `s` achieving exactly `level` on `e`.
+    pub fn pending_with_locality(&self, s: StageId, e: ExecId, level: Locality) -> Option<u32> {
+        let pending = &self.stages[s.index()].pending;
+        self.index.scan_first(s.index(), e, level, false, pending)
     }
 
     /// Inverted-index gate: does stage `s` have any *pending* task at
-    /// exactly `level` on `e`? Claims-blind on purpose — the claims-aware
-    /// probe can only find a subset of these tasks, so `false` proves
+    /// exactly `level` on `e`? `false` proves
     /// [`pending_with_locality`](Self::pending_with_locality) would
     /// return `None`, while `true` routes to the real probe. Gating on
     /// this is therefore schedule-neutral (DESIGN.md §14).
@@ -728,37 +606,13 @@ impl<'a> SimView<'a> {
         self.index.pending_strict_count(s.index(), e, level) > 0
     }
 
-    /// One-sided *unclaimed* existence test: `true` proves stage `s` has
-    /// an unclaimed pending task at exactly `level` on `e` without
-    /// identifying it. The claims-blind count overstates the unclaimed
-    /// population by at most the stage's claimed total (claims are a
-    /// subset of pending), so `count > claimed` is a proof; `false` means
-    /// "can't tell" and the claims-aware probe must decide. This is what
-    /// lets the pick loop's reject-and-park path (Alg. 2 line 9, which
-    /// discards the found task) skip the scan entirely.
-    pub fn has_unclaimed_pending_at(
-        &self,
-        s: StageId,
-        e: ExecId,
-        level: Locality,
-        shadow: &ScheduleShadow,
-    ) -> bool {
-        self.index.pending_level_count(s.index(), e, level) > shadow.claimed_count(s)
-    }
-
-    /// Locality levels for which stage `s` has at least one unclaimed
-    /// pending task on *some* executor — the "valid locality levels" of
-    /// Alg. 2 / Spark's `computeValidLocalityLevels`. Always includes
-    /// `Any` if any task is pending. Memoized per stage per round in the
-    /// [`LocalityIndex`].
-    pub fn valid_levels(&self, s: StageId, shadow: &ScheduleShadow) -> Vec<Locality> {
-        let st = &self.stages[s.index()];
-        let (levels, n) = self.index.valid_levels(
-            s.index(),
-            &st.pending,
-            shadow.claim_bits(s),
-            shadow.claimed_count(s),
-        );
+    /// Locality levels for which stage `s` has at least one pending task
+    /// on *some* executor — the "valid locality levels" of Alg. 2 /
+    /// Spark's `computeValidLocalityLevels`. Always includes `Any` if any
+    /// task is pending. Memoized per stage in the [`LocalityIndex`].
+    pub fn valid_levels(&self, s: StageId) -> Vec<Locality> {
+        let pending = &self.stages[s.index()].pending;
+        let (levels, n) = self.index.valid_levels(s.index(), pending);
         levels[..n].to_vec()
     }
 
@@ -776,24 +630,17 @@ impl<'a> SimView<'a> {
     /// Eq. (7): earliest completion time of stage `s`,
     /// `ect_i = ⌈ptn_i / tp_i⌉ × t̄d_i`, relative to now. `fallback_td` is
     /// used before any task of the stage has finished (e.g. the profiler's
-    /// duration estimate). Claimed tasks count as running, not pending.
+    /// duration estimate).
     ///
     /// `tp_i` is the *achievable* task parallelism: at least the currently
     /// running count, at most the stage's cluster-wide slot capacity — the
     /// paper's "current task parallelism" read literally degenerates at
     /// stage start (one running task would predict a 224-wave stage).
-    pub fn earliest_completion_ms(
-        &self,
-        s: StageId,
-        fallback_td: f64,
-        shadow: &ScheduleShadow,
-    ) -> f64 {
+    pub fn earliest_completion_ms(&self, s: StageId, fallback_td: f64) -> f64 {
         let st = &self.stages[s.index()];
-        let claimed = shadow.claimed_count(s);
-        let ptn = st.pending.len().saturating_sub(claimed as usize) as f64;
+        let ptn = st.pending.len() as f64;
         let slots = self.stage_slots(s).max(1);
-        let running = st.running + claimed;
-        let tp = (running.max(1) as f64).max((ptn.min(slots as f64)).max(1.0));
+        let tp = (st.running.max(1) as f64).max((ptn.min(slots as f64)).max(1.0));
         let td = self.avg_duration(s).unwrap_or(fallback_td);
         (ptn / tp).ceil() * td
     }
@@ -955,52 +802,26 @@ mod tests {
         let mut f = fixture();
         f.index.add_cached(BlockId::new(RddId(0), 1), ExecId(1));
         let v = view(&f);
-        let shadow = ScheduleShadow::new(&v);
         // On exec1: task 1 is Process; tasks 0 is Rack.
         assert_eq!(
-            v.pending_with_locality(StageId(0), ExecId(1), Locality::Process, &shadow),
+            v.pending_with_locality(StageId(0), ExecId(1), Locality::Process),
             Some(1)
         );
         assert_eq!(
-            v.pending_with_locality(StageId(0), ExecId(1), Locality::Node, &shadow),
+            v.pending_with_locality(StageId(0), ExecId(1), Locality::Node),
             None
         );
         // Strict at Rack on exec1: task 0's best anywhere is Node (its disk
         // node) → not strict-eligible at Rack... best(0) = Node < Rack.
         assert_eq!(
-            v.pending_with_locality_strict(StageId(0), ExecId(1), Locality::Rack, &shadow),
+            v.pending_with_locality_strict(StageId(0), ExecId(1), Locality::Rack),
             None
         );
         // Task 2's block is on node 2 (other rack): on exec1 it's Any; its
         // best anywhere is Node → not strict at Any either.
         assert_eq!(
-            v.pending_with_locality_strict(StageId(0), ExecId(1), Locality::Any, &shadow),
+            v.pending_with_locality_strict(StageId(0), ExecId(1), Locality::Any),
             None
-        );
-    }
-
-    #[test]
-    fn claims_hide_tasks_from_pending_queries() {
-        let mut f = fixture();
-        f.index.add_cached(BlockId::new(RddId(0), 1), ExecId(1));
-        let v = view(&f);
-        let mut shadow = ScheduleShadow::new(&v);
-        shadow.claim(&v, StageId(0), 1, ExecId(1));
-        // Task 1 claimed: the Process-level query no longer finds it.
-        assert_eq!(
-            v.pending_with_locality(StageId(0), ExecId(1), Locality::Process, &shadow),
-            None
-        );
-        assert!(shadow.is_claimed(StageId(0), 1));
-        assert_eq!(shadow.claimed_count(StageId(0)), 1);
-        // Shadow resources were decremented by the stage demand (2 cpus).
-        assert_eq!(shadow.free_of(ExecId(1)).cpus, 2);
-        // Reset restores everything.
-        shadow.reset(&v);
-        assert_eq!(shadow.claimed_count(StageId(0)), 0);
-        assert_eq!(
-            v.pending_with_locality(StageId(0), ExecId(1), Locality::Process, &shadow),
-            Some(1)
         );
     }
 
@@ -1008,8 +829,7 @@ mod tests {
     fn valid_levels_include_any_and_reachable_tiers() {
         let f = fixture();
         let v = view(&f);
-        let shadow = ScheduleShadow::new(&v);
-        let levels = v.valid_levels(StageId(0), &shadow);
+        let levels = v.valid_levels(StageId(0));
         assert!(levels.contains(&Locality::Node));
         assert!(levels.contains(&Locality::Any));
         assert!(!levels.contains(&Locality::Process));
@@ -1019,11 +839,10 @@ mod tests {
     fn ect_caps_parallelism_at_stage_slots() {
         let f = fixture();
         let v = view(&f);
-        let shadow = ScheduleShadow::new(&v);
         // 4 pending, slots = 4 execs × (4/2) = 8 → tp = min(4, 8) = 4 →
         // one wave.
         assert_eq!(v.stage_slots(StageId(0)), 8);
-        let ect = v.earliest_completion_ms(StageId(0), 1000.0, &shadow);
+        let ect = v.earliest_completion_ms(StageId(0), 1000.0);
         assert_eq!(ect, 1000.0);
         assert_eq!(v.narrow_input_mb(StageId(0)), 64.0);
     }
@@ -1059,32 +878,11 @@ mod tests {
     }
 
     #[test]
-    fn assignable_stages_excludes_fully_claimed() {
-        let f = fixture();
-        let v = view(&f);
-        let mut shadow = ScheduleShadow::new(&v);
-        assert_eq!(v.assignable_stages(&shadow), vec![StageId(0)]);
-        for k in 0..4 {
-            shadow.claim(&v, StageId(0), k, ExecId(k));
-        }
-        assert!(v.assignable_stages(&shadow).is_empty());
-    }
-
-    #[test]
-    fn shadow_free_count_tracks_claims() {
-        let f = fixture();
-        let v = view(&f);
-        let mut shadow = ScheduleShadow::new(&v);
-        assert!(shadow.any_free());
-        // Each exec has 4 cpus; demand is 2 → two claims fill one exec.
-        for e in 0..4u32 {
-            for k in [0, 1] {
-                shadow.claim(&v, StageId(0), k, ExecId(e));
-            }
-        }
-        assert!(!shadow.any_free(), "all execs full but any_free says free");
-        shadow.reset(&v);
-        assert!(shadow.any_free());
+    fn any_free_resource_reads_the_free_list() {
+        let mut f = fixture();
+        assert!(view(&f).any_free_resource());
+        f.free_execs.clear();
+        assert!(!view(&f).any_free_resource());
     }
 
     #[test]

@@ -6,23 +6,18 @@
 //! delay scheduling) is orthogonal, mirroring the paper's design where
 //! Alg. 1 line 7 calls into delay scheduling and Alg. 2 later replaces it.
 //!
-//! ## Batched assignment
+//! ## One pick per call
 //!
-//! One `schedule` call fills *every* free slot: the pick loop runs against
-//! a [`ScheduleShadow`] (free resources minus claims), re-ranking the
-//! ready stages between picks so Table III's per-step re-sort semantics
-//! are preserved exactly. Order policies fold the batch's unconfirmed
-//! claims into their keys (e.g. Dagon subtracts `claimed × est_work` from
-//! a stage's priority value), and placement-state mutations are journaled
-//! so a partially-discarded batch can be rolled back to its last confirmed
-//! assignment — the batched loop is bit-for-bit equivalent to the old
-//! one-assignment-per-call loop, minus the per-pick view rebuilds.
+//! Each `schedule` call ranks the ready stages and returns the first
+//! successful placement pick — at most one assignment. The simulator
+//! launches it and calls `schedule` again, which is Alg. 1's per-step
+//! loop: every pick sees the view *after* the previous launch, so Table
+//! III's per-step re-sort needs no in-flight bookkeeping.
 //!
-//! The placement half additionally gates each executor probe on the
-//! view's inverted pending-work counts (`has_pending_at`, DESIGN.md §14):
-//! the counts are claims-blind, so the shadow's within-batch claims never
-//! invalidate a zero answer, and the pick loop skips provably-empty
-//! probes while preserving the exact first-match order.
+//! The placement half gates each executor probe on the view's inverted
+//! pending-work counts (`has_pending_at`, DESIGN.md §14): a zero count
+//! proves the probe would find nothing, so the pick loop skips
+//! provably-empty probes while preserving the exact first-match order.
 
 use dagon_cluster::{Assignment, Locality, ScheduleShadow, Scheduler, SimView};
 use dagon_dag::{SimTime, StageId, TaskId};
@@ -34,10 +29,10 @@ use crate::placement::Placement;
 pub trait OrderPolicy {
     fn order_name(&self) -> &'static str;
 
-    /// Rank the schedulable stages, highest priority first. `shadow`
-    /// carries the current batch's unconfirmed claims; policies whose keys
-    /// depend on launches must account for them (confirmations only arrive
-    /// after the batch is applied).
+    /// Rank the schedulable stages, highest priority first. Every launch
+    /// is confirmed through `on_task_launched` before the next call, so
+    /// keys can be read straight off the policy's own state and the view.
+    /// `shadow` carries nothing; it is kept only for signature stability.
     fn rank(
         &mut self,
         view: &SimView<'_>,
@@ -60,51 +55,13 @@ pub trait OrderPolicy {
 
 /// `ordering × placement` composed into a full [`Scheduler`].
 ///
-/// Emits a whole batch of assignments per `schedule` call; the simulator
-/// applies them in order, confirming each via
-/// [`Scheduler::on_task_launched`], and discards the rest of the batch if
-/// block residency changed mid-application (a cache insert/evict at launch
-/// time). An internal `reconcile` pass then rolls placement
-/// state back to the last confirmed assignment before the next round.
-// lint: incremental(emitted, mutators = [reconcile, schedule])
-// lint: incremental(marks, mutators = [reconcile, schedule])
-// lint: incremental(confirmed, mutators = [reconcile, on_task_launched])
-// lint: incremental(cap, mutators = [schedule])
-// lint: incremental(feedback, mutators = [reconcile, schedule])
-// lint: hotpath(reconcile, on_task_launched)
+/// Returns at most one assignment per `schedule` call; the simulator
+/// confirms it via [`Scheduler::on_task_launched`] and calls again.
 pub struct OrderedScheduler {
     order: Box<dyn OrderPolicy>,
     placement: Box<dyn Placement>,
-    shadow: Option<ScheduleShadow>,
-    /// `(stage, task)` of each assignment emitted in the open batch.
-    emitted: Vec<(StageId, u32)>,
-    /// Placement journal length right after each emitted pick.
-    marks: Vec<usize>,
-    /// Prefix of `emitted` the simulator confirmed.
-    confirmed: usize,
-    /// Adaptive batch size limit. Any emitted prefix of length ≥ 1 yields
-    /// the identical applied schedule (picks are claims-aware and the
-    /// trailing journal state is reconciled either way), so the cap is
-    /// free to track how much of recent batches actually survived: under
-    /// cache-heavy workloads the simulator discards the batch tail after
-    /// ~1 applied assignment (each launch's cache insertion moves the
-    /// residency generation), and computing the other ~hundred picks per
-    /// round was the dominant scheduling cost at paper scale.
-    ///
-    /// Adaptation is residency-generation-aware: a discard shrinks the cap
-    /// to just past the applied prefix, but it only grows again once a
-    /// fully-applied batch is followed by a round at an *unchanged*
-    /// residency generation — while cache inserts keep moving residency,
-    /// growing the cap just manufactures the next discard (the 1→2→discard
-    /// oscillation that dominated `assignments_discarded` at paper scale).
-    cap: usize,
-    /// `(emitted, confirmed)` of the last settled batch, consumed by the
-    /// next `schedule` call's cap adaptation.
-    feedback: Option<(usize, usize)>,
-    /// Residency generation observed by the previous `schedule` call.
-    last_gen: Option<u64>,
     /// When on, one [`SchedDecision`] is buffered per emitted assignment
-    /// for the simulator's trace sink to drain after the batch.
+    /// for the simulator's trace sink to drain.
     tracing: bool,
     notes: Vec<SchedDecision>,
 }
@@ -114,43 +71,9 @@ impl OrderedScheduler {
         Self {
             order,
             placement,
-            shadow: None,
-            emitted: Vec::new(),
-            marks: Vec::new(),
-            confirmed: 0,
-            cap: usize::MAX,
-            feedback: None,
-            last_gen: None,
             tracing: false,
             notes: Vec::new(),
         }
-    }
-
-    /// Settle the previous batch: keep placement mutations up to the last
-    /// confirmed pick, undo everything after it (including any trailing
-    /// failed pick-round — if nothing actually changed, the next round
-    /// replays it identically against the same state). Batch-survival
-    /// feedback is recorded for the next `schedule` call's cap adaptation
-    /// (which needs the view's residency generation, unavailable here).
-    // lint: allow(panic-surface): `confirmed` is a prefix length of `emitted`, and `marks` grows in lockstep with it
-    fn reconcile(&mut self) {
-        let keep = if self.emitted.is_empty() {
-            // No assignments were produced: the round's wait-clock
-            // mutations stand, exactly as they did when the sequential
-            // loop returned empty.
-            self.placement.journal_len()
-        } else if self.confirmed == 0 {
-            0
-        } else {
-            self.marks[self.confirmed - 1]
-        };
-        if !self.emitted.is_empty() {
-            self.feedback = Some((self.emitted.len(), self.confirmed));
-        }
-        self.placement.reconcile_journal(keep);
-        self.emitted.clear();
-        self.marks.clear();
-        self.confirmed = 0;
     }
 }
 
@@ -164,108 +87,58 @@ impl Scheduler for OrderedScheduler {
     }
 
     fn schedule(&mut self, view: &SimView<'_>) -> Vec<Assignment> {
-        self.reconcile();
         self.notes.clear();
-        // Residency-aware cap adaptation: shrink on a discarded tail, grow
-        // only when the last batch fully applied *and* block residency has
-        // not moved since — otherwise hold, because a moving residency
-        // generation means the very next batch's tail would be discarded
-        // again. Schedule-neutral either way (see the `cap` field docs).
-        let gen = view.index.generation();
-        if let Some((emitted, confirmed)) = self.feedback.take() {
-            if confirmed < emitted {
-                // The tail was computed against residency that moved under
-                // it: emit no more next round than actually survived (one
-                // assignment always survives the generation check).
-                self.cap = confirmed.max(1);
-            } else if self.last_gen == Some(gen) {
-                self.cap = self.cap.saturating_mul(2).max(2);
-            }
-        }
-        self.last_gen = Some(gen);
         if !view.any_free_resource() {
             return Vec::new();
         }
-        if self.shadow.is_none() {
-            self.shadow = Some(ScheduleShadow::new(view));
+        let ready = view.schedulable_stages();
+        if ready.is_empty() {
+            return Vec::new();
         }
-        let shadow = self.shadow.as_mut().unwrap();
-        shadow.reset(view);
-        let mut out = Vec::new();
-        loop {
-            let ready = view.assignable_stages(shadow);
-            if ready.is_empty() {
-                break;
-            }
-            let mut choice = None;
-            for s in self.order.rank(view, &ready, shadow) {
-                if let Some((k, exec, locality)) = self.placement.pick(s, view, shadow) {
-                    choice = Some(Assignment {
-                        stage: s,
-                        task_index: k,
-                        exec,
-                        locality,
-                    });
-                    break;
-                }
-            }
-            let Some(a) = choice else { break };
-            if self.tracing {
-                let n = self.placement.take_note();
-                self.notes.push(SchedDecision {
-                    stage: a.stage,
-                    task_index: a.task_index,
-                    exec: a.exec.0,
-                    locality: a.locality.rank(),
-                    allowed: n.map_or(a.locality.rank(), |n| n.allowed),
-                    ect_ms: n.map_or(-1.0, |n| n.ect_ms),
-                    est_ms: n.map_or(-1.0, |n| n.est_ms),
-                    threshold_ms: n.map_or(-1.0, |n| n.threshold_ms),
-                    predicted_cache_hit: a.locality == Locality::Process,
-                });
-            }
-            self.placement.on_launch(a.stage, a.locality, view.now);
-            shadow.claim(view, a.stage, a.task_index, a.exec);
-            self.marks.push(self.placement.journal_len());
-            self.emitted.push((a.stage, a.task_index));
-            out.push(a);
-            if out.len() >= self.cap || !shadow.any_free() {
-                break;
-            }
+        let ranked = self.order.rank(view, &ready, &ScheduleShadow);
+        let Some(a) = ranked.into_iter().find_map(|s| {
+            let (k, exec, locality) = self.placement.pick(s, view, &ScheduleShadow)?;
+            Some(Assignment {
+                stage: s,
+                task_index: k,
+                exec,
+                locality,
+            })
+        }) else {
+            return Vec::new();
+        };
+        if self.tracing {
+            let n = self.placement.take_note();
+            self.notes.push(SchedDecision {
+                stage: a.stage,
+                task_index: a.task_index,
+                exec: a.exec.0,
+                locality: a.locality.rank(),
+                allowed: n.map_or(a.locality.rank(), |n| n.allowed),
+                ect_ms: n.map_or(-1.0, |n| n.ect_ms),
+                est_ms: n.map_or(-1.0, |n| n.est_ms),
+                threshold_ms: n.map_or(-1.0, |n| n.threshold_ms),
+                predicted_cache_hit: a.locality == Locality::Process,
+            });
         }
-        out
+        self.placement.on_launch(a.stage, a.locality, view.now);
+        vec![a]
     }
 
     fn on_stage_ready(&mut self, s: StageId, now: SimTime) {
-        self.reconcile();
         self.placement.on_stage_ready(s, now);
         self.order.on_stage_ready(s);
     }
 
     fn on_stage_complete(&mut self, s: StageId, _now: SimTime) {
-        self.reconcile();
         self.order.on_stage_complete(s);
     }
 
-    // lint: allow(panic-surface): the index is short-circuit-guarded by `confirmed < emitted.len()`
     fn on_task_launched(&mut self, t: TaskId, work: u64, _now: SimTime) {
-        if self.confirmed < self.emitted.len() && self.emitted[self.confirmed] == (t.stage, t.index)
-        {
-            self.confirmed += 1;
-        } else {
-            debug_assert!(
-                false,
-                "launch confirmation out of order: {:?} at batch position {}",
-                t, self.confirmed
-            );
-        }
         self.order.on_task_launched(t, work);
     }
 
     fn on_task_requeued(&mut self, t: TaskId, work: u64, _now: SimTime) {
-        // Requeues arrive between batches (fault handling happens in the
-        // event loop, never mid-`schedule`), so the emit journal is not
-        // touched — `reconcile` at the next call sees a consistent state.
         self.order.on_task_requeued(t, work);
     }
 

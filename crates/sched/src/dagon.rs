@@ -43,25 +43,13 @@ impl OrderPolicy for DagonOrder {
         &mut self,
         _view: &SimView<'_>,
         ready: &[StageId],
-        shadow: &ScheduleShadow,
+        _shadow: &ScheduleShadow,
     ) -> Vec<StageId> {
         // Alg. 1 line 5: sort SQ by pv_i descending (ties: stage id — the
         // paper's Table III picks stage 2 over stage 1 on the 52/52 tie by
         // keeping the previously-higher stage first; ascending id matches).
-        //
-        // The tracker only hears about *confirmed* launches, so within a
-        // batch the claims are folded in here: each claimed task of `s`
-        // would have decremented pv by its estimated work (Table III),
-        // clamped at the stage's remaining work exactly as the tracker
-        // clamps — ready stages are mutually non-ancestral, so no claim
-        // can touch another ready stage's pv.
         let mut v = ready.to_vec();
-        v.sort_by_key(|s| {
-            let claimed = shadow.claimed_count(*s) as u64;
-            let delta =
-                (claimed * self.est_task_work[s.index()]).min(self.tracker.remaining_work(*s));
-            (std::cmp::Reverse(self.tracker.pv(*s) - delta), *s)
-        });
+        v.sort_by_key(|s| (std::cmp::Reverse(self.tracker.pv(*s)), *s));
         v
     }
 

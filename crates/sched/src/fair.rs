@@ -29,12 +29,10 @@ impl OrderPolicy for FairOrder {
         &mut self,
         view: &SimView<'_>,
         ready: &[StageId],
-        shadow: &ScheduleShadow,
+        _shadow: &ScheduleShadow,
     ) -> Vec<StageId> {
-        // Claims count as running: within a batch a claimed task raises
-        // the stage's current share exactly as its launch will.
         let mut v = ready.to_vec();
-        v.sort_by_key(|s| (view.stage(*s).running + shadow.claimed_count(*s), *s));
+        v.sort_by_key(|s| (view.stage(*s).running, *s));
         v
     }
 }
@@ -50,7 +48,7 @@ impl FairScheduler {
 /// Hierarchical weighted fair share across tenants.
 ///
 /// Ranks ready stages by their tenant's *weighted core share* —
-/// `(running cores + in-batch claimed cores) / weight`, compared by u128
+/// `running cores / weight`, compared by u128
 /// cross-multiplication so no floats enter the schedule — and defers to
 /// the wrapped inner policy within a tenant (the sort is stable and
 /// same-share tenants compare `Equal`, so the inner order survives;
@@ -61,8 +59,6 @@ pub struct TenantFairOrder {
     inner: Box<dyn OrderPolicy>,
     /// Per-tenant weights (≥ 1); tenants beyond the vector get weight 1.
     weights: Vec<u64>,
-    /// Reused per-rank scratch: per-tenant cores including in-batch claims.
-    used: Vec<u64>,
 }
 
 impl TenantFairOrder {
@@ -71,11 +67,7 @@ impl TenantFairOrder {
             weights.iter().all(|&w| w >= 1),
             "tenant weights must be >= 1"
         );
-        Self {
-            inner,
-            weights,
-            used: Vec::new(),
-        }
+        Self { inner, weights }
     }
 
     /// Equal-weight fair share over the inner policy.
@@ -103,18 +95,7 @@ impl OrderPolicy for TenantFairOrder {
         if view.tenant_of_stage.is_empty() {
             return v;
         }
-        // Charge the batch's unconfirmed claims to their tenants: a claim
-        // occupies cores exactly as its launch will, so ignoring them
-        // would let one tenant absorb a whole batch of free slots.
-        self.used.clear();
-        self.used.extend_from_slice(view.tenant_cores);
-        for &s in &v {
-            let claimed = shadow.claimed_count(s) as u64;
-            if claimed > 0 {
-                let t = view.tenant_of_stage[s.index()] as usize;
-                self.used[t] += claimed * u64::from(view.dag.stage(s).demand.cpus);
-            }
-        }
+        let used = view.tenant_cores;
         v.sort_by(|a, b| {
             let ta = view.tenant_of_stage[a.index()] as usize;
             let tb = view.tenant_of_stage[b.index()] as usize;
@@ -122,8 +103,8 @@ impl OrderPolicy for TenantFairOrder {
                 return Ordering::Equal;
             }
             // share(ta) < share(tb)  ⟺  used[ta]·w(tb) < used[tb]·w(ta)
-            let la = u128::from(self.used[ta]) * u128::from(self.weight(tb));
-            let lb = u128::from(self.used[tb]) * u128::from(self.weight(ta));
+            let la = u128::from(used[ta]) * u128::from(self.weight(tb));
+            let lb = u128::from(used[tb]) * u128::from(self.weight(ta));
             la.cmp(&lb)
         });
         v

@@ -3,12 +3,8 @@
 //! (Alg. 2 of the paper).
 //!
 //! Placement state (wait clocks, the resource-offer rotation cursor) is
-//! mutated *optimistically* while a batch of assignments is computed, and
-//! every mutation is recorded in an undo journal. If the simulator later
-//! discards part of the batch (block residency changed mid-application),
-//! [`OrderedScheduler`](crate::assign::OrderedScheduler) rolls the journal
-//! back to the last confirmed assignment so the re-computed picks see
-//! exactly the state the one-pick-per-call sequential loop would have.
+//! mutated in place by every pick round, failed ones included, exactly as
+//! Spark's `TaskSetManager` advances its locality timers on each offer.
 
 use std::collections::BTreeMap;
 
@@ -16,14 +12,6 @@ use dagon_cluster::{ExecId, Locality, ScheduleShadow, SimView};
 use dagon_dag::{SimTime, StageEstimates, StageId};
 
 use crate::waits::WaitClock;
-
-/// One optimistic placement-state mutation (its prior value).
-enum JournalEntry {
-    /// Wait-clock of a stage before the mutation (`None` = absent).
-    Clock(StageId, Option<WaitClock>),
-    /// Resource-offer rotation cursor before the mutation.
-    Offer(usize),
-}
 
 /// Rationale behind one successful [`Placement::pick`], captured only when
 /// tracing is on. Estimate fields are `-1.0` when the placement does not
@@ -41,8 +29,9 @@ pub struct PlacementNote {
 }
 
 /// Picks `(task, executor, locality)` for one stage, or `None` if the stage
-/// should wait. `shadow` is the caller's view of free executor resources
-/// and already-claimed tasks, maintained across a multi-assignment batch.
+/// should wait. Picks read free resources and pending tasks straight off
+/// the view; `shadow` carries nothing and is kept only for signature
+/// stability.
 pub trait Placement {
     fn placement_name(&self) -> &'static str;
 
@@ -53,20 +42,22 @@ pub trait Placement {
         shadow: &ScheduleShadow,
     ) -> Option<(u32, ExecId, Locality)>;
 
-    /// A launch of `stage` at `level` was picked (optimistically; it is
-    /// confirmed by the simulator, or rolled back via the journal).
+    /// A launch of `stage` at `level` was picked; the simulator launches
+    /// it before the next `pick`.
     fn on_launch(&mut self, stage: StageId, level: Locality, now: SimTime);
 
-    /// A stage became pending (create its wait clock). Never called with
-    /// an open journal — the batch is reconciled first.
+    /// A stage became pending (create its wait clock).
     fn on_stage_ready(&mut self, stage: StageId, now: SimTime);
 
-    /// Current undo-journal length (a rollback mark).
-    fn journal_len(&self) -> usize;
+    /// Retired undo-journal mark: placement state is never rolled back,
+    /// so this is always 0. Kept for signature stability.
+    fn journal_len(&self) -> usize {
+        0
+    }
 
-    /// Undo every journaled mutation past `keep` (in reverse), then drop
-    /// the journal: entries up to `keep` are confirmed-permanent.
-    fn reconcile_journal(&mut self, keep: usize);
+    /// Retired undo-journal rollback; a no-op. Kept for signature
+    /// stability.
+    fn reconcile_journal(&mut self, _keep: usize) {}
 
     /// Start (or stop) capturing a [`PlacementNote`] per successful pick.
     /// Default: ignore — rationale-free placements stay zero-overhead.
@@ -88,15 +79,13 @@ pub trait Placement {
 /// `spark.locality.wait = 0` this scatters tasks — an executor with free
 /// cores takes any pending task even when another executor could have run
 /// it process-locally — exactly the behaviour the paper's Fig. 3 measures.
-// lint: incremental(clocks, mutators = [allowed, on_launch, on_stage_ready, reconcile_journal], oracle = check_journal_settled)
-// lint: incremental(journal, mutators = [allowed, pick, on_launch, reconcile_journal], oracle = check_journal_settled)
-// lint: incremental(offer_start, mutators = [pick, reconcile_journal])
+// lint: incremental(clocks, mutators = [allowed, on_launch, on_stage_ready])
+// lint: incremental(offer_start, mutators = [pick])
 // lint: incremental(note, mutators = [pick, note_pick, set_tracing, take_note])
 // lint: hotpath(pick)
 pub struct NativeDelay {
     clocks: BTreeMap<StageId, WaitClock>,
     offer_start: usize,
-    journal: Vec<JournalEntry>,
     tracing: bool,
     note: Option<PlacementNote>,
 }
@@ -106,41 +95,22 @@ impl NativeDelay {
         Self {
             clocks: BTreeMap::new(),
             offer_start: 0,
-            journal: Vec::new(),
             tracing: false,
             note: None,
         }
     }
 
-    fn allowed(
-        &mut self,
-        stage: StageId,
-        view: &SimView<'_>,
-        shadow: &ScheduleShadow,
-    ) -> (Locality, Vec<Locality>) {
-        let valid = {
-            let v = view.valid_levels(stage, shadow);
-            if v.is_empty() {
-                vec![Locality::Any]
-            } else {
-                v
-            }
-        };
-        self.journal
-            .push(JournalEntry::Clock(stage, self.clocks.get(&stage).cloned()));
+    fn allowed(&mut self, stage: StageId, view: &SimView<'_>) -> (Locality, Vec<Locality>) {
+        let mut valid = view.valid_levels(stage);
+        if valid.is_empty() {
+            valid.push(Locality::Any);
+        }
         let clock = self
             .clocks
             .entry(stage)
             .or_insert_with(|| WaitClock::new(view.now));
         let allowed = clock.allowed(view.now, &view.locality_wait, &valid);
         (allowed, valid)
-    }
-
-    /// Between-batch oracle: every speculative clock/offer mutation has
-    /// been committed or rolled back — an un-reconciled journal entry
-    /// means some batch's placement state would leak into the next one.
-    fn check_journal_settled(&self) -> bool {
-        self.journal.is_empty()
     }
 }
 
@@ -160,34 +130,32 @@ impl Placement for NativeDelay {
         &mut self,
         stage: StageId,
         view: &SimView<'_>,
-        shadow: &ScheduleShadow,
+        _shadow: &ScheduleShadow,
     ) -> Option<(u32, ExecId, Locality)> {
-        let (allowed, valid) = self.allowed(stage, view, shadow);
+        let (allowed, valid) = self.allowed(stage, view);
         let demand = view.dag.stage(stage).demand;
         // Per-executor offers (rotating start), each taking its own best
         // task within the allowed level. Only free executors are visited
         // (stage demands always include a cpu, so the view's free list is a
-        // superset of every shadow-fitting executor); the circular
+        // superset of every fitting executor); the circular
         // from-`offer_start` order is preserved by splitting the ascending
         // free list at the rotation point.
         let n = view.execs.len();
-        self.journal.push(JournalEntry::Offer(self.offer_start));
         self.offer_start = (self.offer_start + 1) % n.max(1);
         let fe = view.free_execs;
         let p = fe.partition_point(|&e| (e as usize) < self.offer_start);
         for &ei in fe[p..].iter().chain(fe[..p].iter()) {
             let e = view.exec(ExecId(ei));
-            if !shadow.fits(e.id, demand) {
+            if !e.free.fits(demand) {
                 continue;
             }
             for &level in valid.iter().filter(|l| **l <= allowed) {
                 // Inverted-index gate: a zero count proves the probe below
-                // would return None (claims only shrink the candidate
-                // set), so skipping it is schedule-neutral.
+                // would return None, so skipping it is schedule-neutral.
                 if !view.has_pending_at(stage, e.id, level) {
                     continue;
                 }
-                if let Some(k) = view.pending_with_locality(stage, e.id, level, shadow) {
+                if let Some(k) = view.pending_with_locality(stage, e.id, level) {
                     if self.tracing {
                         self.note = Some(PlacementNote {
                             allowed: allowed.rank(),
@@ -204,39 +172,13 @@ impl Placement for NativeDelay {
     }
 
     fn on_launch(&mut self, stage: StageId, level: Locality, now: SimTime) {
-        self.journal
-            .push(JournalEntry::Clock(stage, self.clocks.get(&stage).cloned()));
         if let Some(c) = self.clocks.get_mut(&stage) {
             c.on_launch(level, now);
         }
     }
 
     fn on_stage_ready(&mut self, stage: StageId, now: SimTime) {
-        debug_assert!(
-            self.check_journal_settled(),
-            "stage-ready with an open batch journal"
-        );
         self.clocks.insert(stage, WaitClock::new(now));
-    }
-
-    fn journal_len(&self) -> usize {
-        self.journal.len()
-    }
-
-    fn reconcile_journal(&mut self, keep: usize) {
-        let keep = keep.min(self.journal.len());
-        for e in self.journal.drain(keep..).rev() {
-            match e {
-                JournalEntry::Clock(s, Some(c)) => {
-                    self.clocks.insert(s, c);
-                }
-                JournalEntry::Clock(s, None) => {
-                    self.clocks.remove(&s);
-                }
-                JournalEntry::Offer(prior) => self.offer_start = prior,
-            }
-        }
-        self.journal.clear();
     }
 
     fn set_tracing(&mut self, on: bool) {
@@ -327,12 +269,12 @@ impl Placement for SensitivityAware {
         &mut self,
         stage: StageId,
         view: &SimView<'_>,
-        shadow: &ScheduleShadow,
+        _shadow: &ScheduleShadow,
     ) -> Option<(u32, ExecId, Locality)> {
-        let (allowed, valid) = self.delay.allowed(stage, view, shadow);
+        let (allowed, valid) = self.delay.allowed(stage, view);
         let demand = view.dag.stage(stage).demand;
         let fallback = self.est_finish_ms(stage, valid[0], view);
-        let ect = view.earliest_completion_ms(stage, fallback, shadow);
+        let ect = view.earliest_completion_ms(stage, fallback);
         // A low-locality launch is harmless when (a) the stage's backlog
         // means it cannot finish sooner anyway (Eq. 7), or (b) the stage is
         // insensitive at that level (§II-A's rack ≈ node ≈ process case).
@@ -352,18 +294,17 @@ impl Placement for SensitivityAware {
         // matches the full ascending walk after the fits filter (a stage
         // demand always includes a cpu). Every probe is gated on the
         // inverted index's per-(stage, level, executor) pending counts: a
-        // zero count proves the probe would return None (claims only
-        // shrink the candidate set), so the gates skip work without ever
-        // changing which task the first-match walk finds.
+        // zero count proves the probe would return None, so the gates skip
+        // work without ever changing which task the first-match walk finds.
         for &ei in view.free_execs {
             let e = view.exec(ExecId(ei));
-            if !shadow.fits(e.id, demand) {
+            if !e.free.fits(demand) {
                 continue;
             }
             for &level in &valid {
                 if level <= allowed {
                     if view.has_pending_at(stage, e.id, level) {
-                        if let Some(k) = view.pending_with_locality(stage, e.id, level, shadow) {
+                        if let Some(k) = view.pending_with_locality(stage, e.id, level) {
                             self.note_pick(stage, level, allowed, ect, threshold, view);
                             return Some((k, e.id, level));
                         }
@@ -375,7 +316,7 @@ impl Placement for SensitivityAware {
                 // here can only help, whatever the wait clock says (the
                 // master's block registry makes this check possible).
                 if view.has_pending_strict_at(stage, e.id, level) {
-                    if let Some(k) = view.pending_with_locality_strict(stage, e.id, level, shadow) {
+                    if let Some(k) = view.pending_with_locality_strict(stage, e.id, level) {
                         self.note_pick(stage, level, allowed, ect, threshold, view);
                         return Some((k, e.id, level));
                     }
@@ -389,26 +330,14 @@ impl Placement for SensitivityAware {
                 // sooner without it (Eq. 7) or is insensitive at this level
                 // (§II-A's rack ≈ node ≈ process case).
                 if !steal_ok[level.index()] {
-                    // Line 9: an unclaimed candidate here parks the
-                    // executor — only its *existence* matters, never its
-                    // identity, so prove it from the counts when possible
-                    // and fall back to the scan only when claims leave the
-                    // answer ambiguous. This is the dominant outcome for a
-                    // stage inside its locality-wait window, and skipping
-                    // the scan here is what keeps failed pick rounds free
-                    // of per-executor pending walks.
-                    if view.has_unclaimed_pending_at(stage, e.id, level, shadow) {
-                        break;
-                    }
-                    match view.pending_with_locality(stage, e.id, level, shadow) {
-                        // Claims exhausted the level on this executor —
-                        // the ungated loop's existence probe came up
-                        // empty too.
-                        None => continue,
-                        Some(_) => break,
-                    }
+                    // Line 9: a candidate here parks the executor. Only
+                    // its *existence* matters, and the count above already
+                    // proved it, so no scan is needed. This is the
+                    // dominant outcome for a stage inside its
+                    // locality-wait window.
+                    break;
                 }
-                match view.pending_with_locality(stage, e.id, level, shadow) {
+                match view.pending_with_locality(stage, e.id, level) {
                     None => continue,
                     Some(k) => {
                         self.note_pick(stage, level, allowed, ect, threshold, view);
@@ -426,14 +355,6 @@ impl Placement for SensitivityAware {
 
     fn on_stage_ready(&mut self, stage: StageId, now: SimTime) {
         self.delay.on_stage_ready(stage, now);
-    }
-
-    fn journal_len(&self) -> usize {
-        self.delay.journal_len()
-    }
-
-    fn reconcile_journal(&mut self, keep: usize) {
-        self.delay.reconcile_journal(keep);
     }
 
     fn set_tracing(&mut self, on: bool) {

@@ -221,3 +221,173 @@ fn all_schedulers_complete_a_chain_identically() {
         assert_eq!(jct, base, "{} diverged on a chain", s.name());
     }
 }
+
+/// A hand-built [`SimView`](dagon_cluster::SimView) for driving a
+/// [`Placement`](dagon_sched::Placement) directly: 2 racks × 2 nodes × 1
+/// executor (4 cpus each). Stage 0 has one one-cpu task reading an HDFS
+/// block on node 0's disk (NODE-local on exec 0, RACK on exec 1, ANY on
+/// execs 2-3); stage 1 has 4 one-cpu tasks with no locality preference.
+struct PlacementFixture {
+    dag: dagon_dag::JobDag,
+    topo: dagon_cluster::Topology,
+    cost: dagon_cluster::CostModel,
+    index: dagon_cluster::LocalityIndex,
+    execs: Vec<dagon_cluster::ExecView>,
+    stages: Vec<dagon_cluster::StageRuntime>,
+    tasks: Vec<Vec<dagon_cluster::TaskView>>,
+    metrics: dagon_cluster::Metrics,
+    narrow_mb: Vec<f64>,
+    slot_memo: dagon_cluster::SlotMemo,
+    ready: Vec<u32>,
+    free_execs: Vec<u32>,
+}
+
+impl PlacementFixture {
+    fn new() -> Self {
+        use dagon_cluster::hdfs::DataMap;
+        use dagon_cluster::{ExecId, ExecView, NodeId, PendingSet, StageRuntime, TaskView};
+        use dagon_dag::{BlockId, Resources};
+        let mut b = DagBuilder::new("placement");
+        let src = b.hdfs_rdd("in", 1, 64.0);
+        let _ = b
+            .stage("local")
+            .tasks(1)
+            .demand_cpus(1)
+            .cpu_ms(1000)
+            .reads_narrow(src)
+            .build();
+        let _ = b
+            .stage("anywhere")
+            .tasks(4)
+            .demand_cpus(1)
+            .cpu_ms(1000)
+            .build();
+        let dag = b.build().unwrap();
+        let topo = dagon_cluster::Topology::build(&[2, 2], 1);
+        let mut data = DataMap::default();
+        data.add_disk(BlockId::new(src, 0), NodeId(0));
+        let tasks = vec![
+            vec![TaskView {
+                loc_blocks: vec![BlockId::new(src, 0)],
+            }],
+            (0..4).map(|_| TaskView { loc_blocks: vec![] }).collect(),
+        ];
+        let index = dagon_cluster::LocalityIndex::new(&dag, &topo, data, &tasks);
+        let stages = dag
+            .stages()
+            .iter()
+            .map(|st| StageRuntime {
+                id: st.id,
+                ready: true,
+                completed: false,
+                pending: PendingSet::full(st.num_tasks),
+                running: 0,
+                finished: 0,
+            })
+            .collect();
+        Self {
+            metrics: dagon_cluster::Metrics::new(dag.num_stages(), 4, false),
+            narrow_mb: dagon_cluster::view::narrow_input_table(&dag),
+            slot_memo: dagon_cluster::SlotMemo::new(dag.num_stages()),
+            cost: dagon_cluster::CostModel::default(),
+            execs: (0..4)
+                .map(|i| ExecView {
+                    id: ExecId(i),
+                    free: Resources::new(4, 8192),
+                    capacity: Resources::new(4, 8192),
+                })
+                .collect(),
+            dag,
+            topo,
+            index,
+            stages,
+            tasks,
+            ready: vec![0, 1],
+            free_execs: vec![0, 1, 2, 3],
+        }
+    }
+
+    /// Leave only `free` with spare resources; every other executor is full.
+    fn only_free(&mut self, free: &[u32]) {
+        for e in &mut self.execs {
+            e.free = if free.contains(&e.id.0) {
+                e.capacity
+            } else {
+                dagon_dag::Resources::new(0, 0)
+            };
+        }
+        self.free_execs = free.to_vec();
+    }
+
+    fn view(&self, now: dagon_dag::SimTime) -> dagon_cluster::SimView<'_> {
+        dagon_cluster::SimView {
+            now,
+            dag: &self.dag,
+            topo: &self.topo,
+            cost: &self.cost,
+            locality_wait: LocalityWait::spark_default(),
+            execs: &self.execs,
+            stages: &self.stages,
+            tasks: &self.tasks,
+            index: &self.index,
+            metrics: &self.metrics,
+            narrow_mb: &self.narrow_mb,
+            exec_gen: 0,
+            cap_gen: 0,
+            ready: &self.ready,
+            free_execs: &self.free_execs,
+            slot_memo: &self.slot_memo,
+            tenant_cores: &[],
+            tenant_of_stage: &[],
+        }
+    }
+}
+
+/// Each successful `NativeDelay` pick advances the resource-offer cursor
+/// exactly once: repeated picks of a preference-free stage walk the
+/// executors round-robin (the first offer goes to exec 1), and nothing a
+/// pick did is ever rolled back.
+#[test]
+fn native_delay_successful_pick_advances_the_offer_cursor_once() {
+    use dagon_cluster::{ExecId, Locality, ScheduleShadow};
+    use dagon_sched::{NativeDelay, Placement};
+    let f = PlacementFixture::new();
+    let mut p = NativeDelay::new();
+    let execs: Vec<ExecId> = (0..5)
+        .map(|_| {
+            let (_, e, level) = p.pick(StageId(1), &f.view(0), &ScheduleShadow).unwrap();
+            assert_eq!(level, Locality::Any);
+            assert_eq!(p.journal_len(), 0);
+            p.reconcile_journal(0);
+            e
+        })
+        .collect();
+    assert_eq!(execs, [1, 2, 3, 0, 1].map(ExecId));
+}
+
+/// A failed `NativeDelay` pick round is not undone: the offer cursor it
+/// advanced stays advanced for the next call, and the wait clock it
+/// started keeps running.
+#[test]
+fn native_delay_failed_round_keeps_its_clock_and_offer_rotation() {
+    use dagon_cluster::{ExecId, Locality, ScheduleShadow};
+    use dagon_sched::{NativeDelay, Placement};
+    let mut f = PlacementFixture::new();
+    let mut p = NativeDelay::new();
+    // Only exec 2 free: stage 0's task is ANY there, so at t=0 (allowed
+    // NODE) the stage waits.
+    f.only_free(&[2]);
+    assert_eq!(p.pick(StageId(0), &f.view(0), &ScheduleShadow), None);
+    // The failed round moved the cursor from 0 to 1, so this offer starts
+    // at exec 2; had it been rolled back, exec 1 would take the task.
+    f.only_free(&[0, 1, 2, 3]);
+    let (_, e, _) = p.pick(StageId(1), &f.view(0), &ScheduleShadow).unwrap();
+    assert_eq!(e, ExecId(2));
+    // Two 3 s waits later, the clock the failed round started has degraded
+    // NODE → RACK → ANY. A clock started now would still insist on NODE.
+    f.only_free(&[2]);
+    assert_eq!(
+        p.pick(StageId(0), &f.view(6000), &ScheduleShadow),
+        Some((0, ExecId(2), Locality::Any))
+    );
+}

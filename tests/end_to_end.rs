@@ -228,3 +228,132 @@ fn machine_stragglers_are_mitigated_by_speculation() {
         plain.result.jct
     );
 }
+
+/// Forwards every [`Scheduler`] call and records the largest result one
+/// `schedule` call returned.
+struct CountingScheduler {
+    inner: Box<dyn dagon_cluster::Scheduler>,
+    calls: u64,
+    max_batch: usize,
+}
+
+impl CountingScheduler {
+    fn new(inner: Box<dyn dagon_cluster::Scheduler>) -> Self {
+        Self {
+            inner,
+            calls: 0,
+            max_batch: 0,
+        }
+    }
+}
+
+impl dagon_cluster::Scheduler for CountingScheduler {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn schedule(&mut self, view: &dagon_cluster::SimView<'_>) -> Vec<dagon_cluster::Assignment> {
+        let out = self.inner.schedule(view);
+        self.calls += 1;
+        self.max_batch = self.max_batch.max(out.len());
+        out
+    }
+
+    fn on_stage_ready(&mut self, s: dagon_dag::StageId, now: dagon_dag::SimTime) {
+        self.inner.on_stage_ready(s, now);
+    }
+
+    fn on_stage_complete(&mut self, s: dagon_dag::StageId, now: dagon_dag::SimTime) {
+        self.inner.on_stage_complete(s, now);
+    }
+
+    fn on_task_launched(&mut self, t: dagon_dag::TaskId, work: u64, now: dagon_dag::SimTime) {
+        self.inner.on_task_launched(t, work, now);
+    }
+
+    fn on_task_requeued(&mut self, t: dagon_dag::TaskId, work: u64, now: dagon_dag::SimTime) {
+        self.inner.on_task_requeued(t, work, now);
+    }
+
+    fn stage_priorities(&self) -> Option<Vec<(dagon_dag::StageId, u64)>> {
+        self.inner.stage_priorities()
+    }
+
+    fn set_tracing(&mut self, on: bool) {
+        self.inner.set_tracing(on);
+    }
+
+    fn drain_decisions(&mut self) -> Vec<dagon_obs::SchedDecision> {
+        self.inner.drain_decisions()
+    }
+}
+
+/// The DAG-aware schedulers make one pick per `schedule` call, so the
+/// simulator never has a batch tail to discard — checked on the
+/// cache-heavy paper-scale CC run (the old batched scheduler threw away
+/// ~1k assignments there) and on a multi-tenant stream.
+#[test]
+fn ordered_scheduler_returns_one_assignment_per_call_and_nothing_is_discarded() {
+    use dagon_cluster::{AdmissionConfig, ArrivalSpec, SimResult, Simulation};
+    use dagon_core::experiments::ExpConfig;
+    use dagon_core::tenancy::TenantPolicy;
+    use dagon_profiler::AppProfiler;
+    use dagon_tenancy::{StreamJob, StreamOptions, TenantMeta, TenantStream};
+
+    let check = |label: &str, sched: &CountingScheduler, result: &SimResult| {
+        let s = &result.metrics.sched;
+        assert_eq!(s.assignments_discarded, 0, "{label}");
+        assert_eq!(s.batches_discarded, 0, "{label}");
+        assert_eq!(
+            sched.max_batch, 1,
+            "{label}: a schedule call returned a batch"
+        );
+        assert_eq!(sched.calls, s.schedule_invocations, "{label}");
+    };
+
+    let paper = ExpConfig::paper();
+    let dag = Workload::ConnectedComponent.build(&paper.scale);
+    let est = AppProfiler::noisy(0.10, paper.cluster.seed).estimate(&dag);
+    for sys in [System::dagon(), System::stock_spark()] {
+        let mut sched = CountingScheduler::new(sys.build_scheduler(&dag, &est));
+        let sim = Simulation::new(dag.clone(), paper.cluster.clone(), || sys.cache.build());
+        let result = sim.run(&mut sched);
+        check(&format!("CC paper scale under {sys}"), &sched, &result);
+    }
+
+    let scale = Scale::tiny();
+    let mk = |tenant: u32, w: Workload, at: u64| StreamJob {
+        tenant,
+        name: format!("t{tenant}/{}", w.abbrev()),
+        arrival: ArrivalSpec::Open { at },
+        dag: w.build(&scale),
+    };
+    let jobs = vec![
+        mk(0, Workload::ConnectedComponent, 0),
+        mk(1, Workload::KMeans, 1_000),
+        mk(0, Workload::PageRank, 2_000),
+        mk(1, Workload::ConnectedComponent, 3_000),
+    ];
+    let tenants = [("heavy", 2), ("light", 1)]
+        .map(|(name, weight)| TenantMeta {
+            name: name.to_string(),
+            weight,
+        })
+        .to_vec();
+    let stream = TenantStream::from_jobs(&jobs, tenants, &StreamOptions::default());
+    let cluster = tiny_cluster();
+    let est = AppProfiler::noisy(0.10, cluster.seed).estimate(&stream.dag);
+    for policy in TenantPolicy::LINEUP {
+        let mut sched = CountingScheduler::new(policy.build_scheduler(&stream, &est));
+        let cache = policy.cache_kind();
+        let sim = Simulation::new(stream.dag.clone(), cluster.clone(), || cache.build())
+            .with_jobs(stream.runtime(AdmissionConfig::default()));
+        let result = sim.run(&mut sched);
+        assert_eq!(result.jobs.len(), jobs.len());
+        check(
+            &format!("tenant stream under {}", policy.label()),
+            &sched,
+            &result,
+        );
+    }
+}

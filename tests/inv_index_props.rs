@@ -244,7 +244,7 @@ proptest! {
                                         .unwrap()
                                         == level)
                         });
-                        let probe = idx.scan_first(0, e, level, strict, &pending, &[]);
+                        let probe = idx.scan_first(0, e, level, strict, &pending);
                         prop_assert_eq!(
                             probe, fresh,
                             "probe diverged at exec {:?} level {:?} strict {}",
