@@ -52,6 +52,7 @@ struct Row {
     /// Jain's index over per-tenant mean JCT — multi-tenant rows only.
     jain_fairness: Option<f64>,
     sched: dagon_cluster::SchedulerStats,
+    cache: dagon_cluster::CacheStats,
     faults: dagon_cluster::FaultStats,
 }
 
@@ -146,6 +147,7 @@ fn measure(
         p99_jct_ms: None,
         jain_fairness: None,
         sched: warm.result.metrics.sched,
+        cache: warm.result.metrics.cache,
         faults: warm.result.metrics.faults,
     }
 }
@@ -202,6 +204,7 @@ fn measure_tenant(name: &str, samples: usize) -> Row {
         p99_jct_ms: Some(warm.report.p99_jct_ms),
         jain_fairness: Some(warm.report.jain_fairness),
         sched: warm.result.metrics.sched,
+        cache: warm.result.metrics.cache,
         faults: warm.result.metrics.faults,
     }
 }
@@ -324,6 +327,7 @@ fn main() {
              \"slot_memo_hits\": {}, \"slot_memo_misses\": {}, \
              \"inv_index_hits\": {}, \"inv_index_updates\": {}, \
              \"inv_index_rebuilds\": {}, \
+             \"ticks\": {}, \"maint_passes\": {}, \
              \"exec_crashes\": {}, \"tasks_recomputed\": {}, \
              \"stage_resubmissions\": {}, \"task_failures\": {}",
             r.name,
@@ -351,6 +355,8 @@ fn main() {
             s.inv_index_hits,
             s.inv_index_updates,
             s.inv_index_rebuilds,
+            r.cache.ticks,
+            r.cache.maint_passes,
             r.faults.exec_crashes,
             r.faults.tasks_recomputed,
             r.faults.stage_resubmissions,

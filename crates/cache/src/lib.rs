@@ -77,3 +77,81 @@ impl std::fmt::Display for PolicyKind {
         f.write_str(self.as_str())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dagon_cluster::RefProfile;
+    use dagon_dag::examples::fig1;
+    use dagon_dag::{BlockId, PriorityTracker, StageId};
+
+    /// Drive one policy instance through inserts and accesses against a
+    /// Fig. 1 profile with stage 0 done (its input blocks are dead), then
+    /// call `proactive_victims` and `prefetch_order` twice each with no
+    /// `on_*` call in between. The simulator's quiet-tick elision skips
+    /// exactly such repeated calls, so both pairs must be identical.
+    /// Returns the first (victims, prefetch order) pair.
+    fn repeat_calls_agree(kind: PolicyKind) -> (Vec<BlockId>, Vec<BlockId>) {
+        let dag = fig1();
+        let tracker = PriorityTracker::from_dag(&dag);
+        let mut profile = RefProfile::default();
+        profile.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+        let done = |s: StageId| s == StageId(0);
+        profile.rebuild(&dag, &|s, _| done(s), &done);
+        let blocks: Vec<BlockId> = dag.rdds().iter().flat_map(|r| r.blocks()).collect();
+        let (resident, on_disk) = blocks.split_at(blocks.len() / 2);
+
+        let mut policy = kind.build();
+        for (t, &b) in resident.iter().enumerate() {
+            policy.on_insert(b, t as u64);
+        }
+        for (t, &b) in resident.iter().enumerate().step_by(2) {
+            policy.on_access(b, 100 + t as u64);
+        }
+        let victims = policy.proactive_victims(resident, &profile);
+        assert_eq!(
+            policy.proactive_victims(resident, &profile),
+            victims,
+            "{kind}: proactive_victims changed between identical calls"
+        );
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        policy.prefetch_order(on_disk, &profile, &mut first);
+        policy.prefetch_order(on_disk, &profile, &mut second);
+        assert_eq!(
+            first, second,
+            "{kind}: prefetch_order changed between identical calls"
+        );
+        (victims, first)
+    }
+
+    #[test]
+    fn lru_repeat_calls_are_idempotent() {
+        assert_eq!(repeat_calls_agree(PolicyKind::Lru), (vec![], vec![]));
+    }
+
+    #[test]
+    fn lrc_repeat_calls_are_idempotent() {
+        let (victims, order) = repeat_calls_agree(PolicyKind::Lrc);
+        assert!(!victims.is_empty());
+        assert!(order.is_empty());
+    }
+
+    #[test]
+    fn mrd_repeat_calls_are_idempotent() {
+        let (victims, order) = repeat_calls_agree(PolicyKind::Mrd);
+        assert!(!victims.is_empty());
+        assert!(!order.is_empty());
+    }
+
+    #[test]
+    fn lrp_repeat_calls_are_idempotent() {
+        let (victims, order) = repeat_calls_agree(PolicyKind::Lrp);
+        assert!(!victims.is_empty());
+        assert!(!order.is_empty());
+    }
+
+    #[test]
+    fn nocache_repeat_calls_are_idempotent() {
+        assert_eq!(repeat_calls_agree(PolicyKind::None), (vec![], vec![]));
+    }
+}

@@ -18,6 +18,18 @@ use crate::refprofile::RefProfile;
 /// BlockManager. Policies get the master's [`RefProfile`] on every decision
 /// (the paper's BlockManagerMaster "sends the updated profile to
 /// BlockManager in the corresponding nodes").
+///
+/// **Purity contract.** [`proactive_victims`](Self::proactive_victims) and
+/// [`prefetch_order`](Self::prefetch_order) are pure functions of their
+/// arguments plus the policy state changed through
+/// [`on_access`](Self::on_access), [`on_insert`](Self::on_insert) and
+/// [`on_evict`](Self::on_evict): two calls with equal arguments and no
+/// `on_*` call in between return identical output (internal memos are
+/// allowed; observable differences are not). Neither may depend on
+/// simulated time. The simulator's quiet-tick elision relies on this: a
+/// tick whose inputs did not change since the last idle maintenance pass
+/// skips the pass instead of repeating calls that would do nothing
+/// (DESIGN.md §19).
 pub trait CachePolicy {
     fn policy_name(&self) -> &'static str;
 

@@ -53,6 +53,12 @@ pub struct CacheStats {
     /// Balances the ledger: `insertions == evictions +
     /// proactive_evictions + lost + resident_end`.
     pub resident_end: u64,
+    /// Scheduler ticks handled while the job was incomplete.
+    pub ticks: u64,
+    /// Ticks that ran the cache maintenance pass (prefetch scan +
+    /// proactive sweeps); the rest found no input changed since the last
+    /// idle pass and skipped it. Always `<= ticks`.
+    pub maint_passes: u64,
 }
 
 impl CacheStats {
@@ -427,6 +433,8 @@ impl SimResult {
         r.counter("cache/prefetch_used", c.prefetch_used);
         r.counter("cache/lost", c.lost);
         r.counter("cache/resident_end", c.resident_end);
+        r.counter("cache/ticks", c.ticks);
+        r.counter("cache/maint_passes", c.maint_passes);
         r.gauge("cache/hit_ratio", c.hit_ratio());
         r.gauge("cache/byte_hit_ratio", c.byte_hit_ratio());
         let s = &self.metrics.sched;

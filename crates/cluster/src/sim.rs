@@ -28,7 +28,7 @@ use crate::hdfs::DataMap;
 use crate::jobs::{AdmissionDecision, ArrivalSpec, JobsRuntime};
 use crate::locality::Locality;
 use crate::locality_index::LocalityIndex;
-use crate::metrics::{Metrics, SimResult, TaskRun, TimePoint};
+use crate::metrics::{CacheStats, Metrics, SimResult, TaskRun, TimePoint};
 use crate::pending::PendingSet;
 use crate::refprofile::RefProfile;
 use crate::scheduler::{Assignment, Scheduler};
@@ -67,6 +67,7 @@ struct RunningAttempt {
 // lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable, compact_free_execs], oracle = check_consistency)
 // lint: incremental(data, mutators = [launch, finish_task, complete_stage, proactive_sweeps, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted, release_stage], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
+// lint: incremental(maint_dirty, mutators = [handle, launch, tick_maintenance], oracle = maintenance_pass)
 pub struct Simulation {
     dag: JobDag,
     cfg: ClusterConfig,
@@ -79,6 +80,9 @@ pub struct Simulation {
     /// Block residency: the incremental locality index owning the
     /// authoritative [`DataMap`].
     data: LocalityIndex,
+    /// node → cache-eligible (`rdd.cached`) blocks on that node's disk:
+    /// the prefetch scan's candidate pool. Blocks of uncached RDDs are
+    /// never prefetch candidates, so they are never listed.
     disk_by_node: Vec<Vec<BlockId>>,
     stages: Vec<StageRuntime>,
     /// stage → task → (block, MiB) inputs. `Arc` so a launch can hold the
@@ -142,6 +146,9 @@ pub struct Simulation {
     /// residency/liveness pass over `disk_by_node` is executor-independent
     /// and runs once per node per scan, not once per executor.
     prefetch_node_buf: Vec<BlockId>,
+    /// Something the Tick's cache maintenance reads may have changed since
+    /// its last pass, or that pass acted; see [`Self::tick_maintenance`].
+    maint_dirty: bool,
     /// Structured event sink ([`NullSink`] unless [`Self::with_sink`]
     /// installed a recorder). Write-only: nothing it holds feeds back
     /// into the simulation.
@@ -159,7 +166,7 @@ impl Simulation {
         let n_exec = topo.num_execs();
         let data = DataMap::place_sources(&dag, &topo, cfg.hdfs_replication, cfg.seed);
         let mut disk_by_node = vec![Vec::new(); topo.num_nodes()];
-        for rdd in dag.rdds().iter().filter(|r| r.is_source()) {
+        for rdd in dag.rdds().iter().filter(|r| r.is_source() && r.cached) {
             for b in rdd.blocks() {
                 for n in data.disk_nodes(b) {
                     disk_by_node[n.index()].push(b);
@@ -281,6 +288,7 @@ impl Simulation {
             slot_memo,
             prefetch_buf: Vec::new(),
             prefetch_node_buf: Vec::new(),
+            maint_dirty: true,
             sink: Box::new(NullSink),
             trace_on: false,
             topo,
@@ -478,6 +486,13 @@ impl Simulation {
     }
 
     fn handle(&mut self, ev: Event, sched: &mut dyn Scheduler) {
+        // A Tick runs the cache maintenance itself, and an IoDone only
+        // moves an attempt into its CPU phase; every other event may change
+        // cache contents, pins, the reference profile, disk residency,
+        // executor liveness or an in-flight prefetch slot.
+        if !matches!(ev, Event::Tick | Event::IoDone { .. }) {
+            self.maint_dirty = true;
+        }
         match ev {
             Event::TaskFinish {
                 task,
@@ -530,13 +545,11 @@ impl Simulation {
                 if self.completed_count < self.dag.num_stages() {
                     self.queue
                         .push(self.now + self.cfg.sched_tick_ms.max(1), Event::Tick);
+                    self.metrics.cache.ticks += 1;
                     if self.cfg.speculation.is_some() {
                         self.speculation_check();
                     }
-                    if self.cfg.prefetch_free_frac.is_some() {
-                        self.prefetch_scan();
-                    }
-                    self.proactive_sweeps();
+                    self.tick_maintenance();
                     if self.cfg.trace_executors {
                         self.sample_exec_traces();
                     }
@@ -736,6 +749,8 @@ impl Simulation {
     }
 
     fn launch(&mut self, a: Assignment, speculative: bool, sched: &mut dyn Scheduler) {
+        // Pins, cache contents and the reference profile move below.
+        self.maint_dirty = true;
         let task = TaskId::new(a.stage, a.task_index);
         let st = self.dag.stage(a.stage);
         let demand = st.demand;
@@ -1030,7 +1045,9 @@ impl Simulation {
         let out = BlockId::new(self.dag.stage(task.stage).output, task.index);
         if !self.data.data().disk_nodes(out).contains(&node) {
             self.data.add_disk(out, node);
-            self.disk_by_node[node.index()].push(out);
+            if self.dag.rdd(out.rdd).cached {
+                self.disk_by_node[node.index()].push(out);
+            }
             if self.faults.enabled() {
                 // Remember whose files these are: an executor crash
                 // destroys the outputs it wrote to its node's disk.
@@ -1288,6 +1305,42 @@ impl Simulation {
     // Caching machinery
     // ------------------------------------------------------------------
 
+    /// The Tick's cache maintenance, run only when its inputs may have
+    /// changed. Between two passes those inputs — cache contents and pins,
+    /// policy state, the reference profile, disk residency, executor
+    /// liveness and the in-flight prefetch slots — move only through
+    /// events other than `Tick`/`IoDone` and through launches, which all
+    /// set `maint_dirty`; both policy calls are pure in them (the
+    /// [`CachePolicy`] contract). So a pass on a clean flag repeats the
+    /// last one, which did nothing. A pass that acted keeps the flag set:
+    /// a proactive eviction can expose a new prefetch candidate. Debug
+    /// builds still run the pass on quiet ticks and assert it is a no-op.
+    fn tick_maintenance(&mut self) {
+        if self.maint_dirty {
+            self.metrics.cache.maint_passes += 1;
+            self.maint_dirty = self.maintenance_pass();
+        } else if cfg!(debug_assertions) {
+            let acted = self.maintenance_pass();
+            debug_assert!(
+                !acted,
+                "quiet tick: cache maintenance acted with no state change since its last idle pass"
+            );
+        }
+    }
+
+    /// One prefetch scan and proactive sweep; returns whether it issued a
+    /// prefetch or evicted a block.
+    fn maintenance_pass(&mut self) -> bool {
+        // Both counters only grow, so their sum moves iff the pass acted.
+        let actions = |c: &CacheStats| c.prefetches + c.proactive_evictions;
+        let before = actions(&self.metrics.cache);
+        if self.cfg.prefetch_free_frac.is_some() {
+            self.prefetch_scan();
+        }
+        self.proactive_sweeps();
+        actions(&self.metrics.cache) != before
+    }
+
     fn proactive_sweeps(&mut self) {
         for i in 0..self.bms.len() {
             let victims = self.bms[i].proactive_sweep(&self.profile);
@@ -1343,11 +1396,9 @@ impl Simulation {
                     // "prefetches the in-disk data block": only blocks not
                     // in memory anywhere — duplicating an already-cached
                     // block concentrates process-locality instead of
-                    // widening it.
-                    if self.dag.rdd(b.rdd).cached
-                        && self.profile.is_live(b)
-                        && !self.data.is_cached_anywhere(b)
-                    {
+                    // widening it. (`disk_by_node` lists cache-eligible
+                    // blocks only.)
+                    if self.profile.is_live(b) && !self.data.is_cached_anywhere(b) {
                         node_buf.push(b);
                     }
                 }

@@ -357,3 +357,61 @@ fn ordered_scheduler_returns_one_assignment_per_call_and_nothing_is_discarded() 
         );
     }
 }
+
+/// Quiet-tick elision: a tick skips the cache maintenance pass (prefetch
+/// scan + proactive sweeps) when nothing it reads changed since the last
+/// idle pass. Two jobs with a long idle gap between their arrivals leave
+/// most ticks with no event and no launch, so most passes are skipped —
+/// and the cache ledger still balances.
+#[test]
+fn idle_gap_ticks_skip_cache_maintenance() {
+    use dagon_cluster::{AdmissionConfig, ArrivalSpec};
+    use dagon_core::tenancy::{run_tenant_stream, TenantPolicy};
+    use dagon_tenancy::{StreamJob, StreamOptions, TenantMeta, TenantStream};
+
+    const GAP_MS: u64 = 20 * MIN_MS;
+    let scale = Scale::tiny();
+    let jobs = [
+        (Workload::ConnectedComponent, 0),
+        (Workload::KMeans, GAP_MS),
+    ]
+    .map(|(w, at)| StreamJob {
+        tenant: 0,
+        name: w.abbrev().to_string(),
+        arrival: ArrivalSpec::Open { at },
+        dag: w.build(&scale),
+    })
+    .to_vec();
+    let tenants = vec![TenantMeta {
+        name: "solo".to_string(),
+        weight: 1,
+    }];
+    let stream = TenantStream::from_jobs(&jobs, tenants, &StreamOptions::default());
+    let out = run_tenant_stream(
+        &stream,
+        &tiny_cluster(),
+        TenantPolicy::WeightedFairDagon,
+        AdmissionConfig::default(),
+    );
+    let first_done = out.result.jobs[0]
+        .completed_ms
+        .expect("first job completes");
+    assert!(
+        first_done * 2 < GAP_MS,
+        "first job ends at {first_done} ms: the gap before {GAP_MS} ms is not idle"
+    );
+    assert!(out.result.jobs[1].completed_ms.is_some());
+    let c = &out.result.metrics.cache;
+    assert!(c.ticks > 0);
+    assert!(
+        c.maint_passes * 4 < c.ticks,
+        "{} maintenance passes over {} ticks",
+        c.maint_passes,
+        c.ticks
+    );
+    assert_eq!(
+        c.insertions,
+        c.evictions + c.proactive_evictions + c.lost + c.resident_end,
+        "cache ledger imbalance"
+    );
+}

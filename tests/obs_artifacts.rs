@@ -146,12 +146,14 @@ const REGISTRY_KEYS: &[&str] = &[
     "cache/hits",
     "cache/insertions",
     "cache/lost",
+    "cache/maint_passes",
     "cache/miss_kb",
     "cache/misses",
     "cache/prefetch_used",
     "cache/prefetches",
     "cache/proactive_evictions",
     "cache/resident_end",
+    "cache/ticks",
     "faults/attempts_killed",
     "faults/disk_blocks_lost",
     "faults/exec_crashes",
