@@ -47,6 +47,9 @@ struct Row {
     /// `wall_ms / decisions`, in nanoseconds — the headline scheduler
     /// hot-path cost, comparable across cluster sizes.
     ns_per_decision: f64,
+    /// Stages in the simulated DAG (the merged DAG for a stream): the
+    /// bound on `inv_stage_activations` in a fault-free run.
+    stages: usize,
     /// Tail JCT over the stream's completed jobs — multi-tenant rows only.
     p99_jct_ms: Option<u64>,
     /// Jain's index over per-tenant mean JCT — multi-tenant rows only.
@@ -144,6 +147,7 @@ fn measure(
         jct_ms: warm.result.jct,
         decisions,
         ns_per_decision: wall_ms * 1e6 / decisions.max(1) as f64,
+        stages: dag.num_stages(),
         p99_jct_ms: None,
         jain_fairness: None,
         sched: warm.result.metrics.sched,
@@ -201,6 +205,7 @@ fn measure_tenant(name: &str, samples: usize) -> Row {
         jct_ms: warm.result.jct,
         decisions,
         ns_per_decision: wall_ms * 1e6 / decisions.max(1) as f64,
+        stages: stream.dag.num_stages(),
         p99_jct_ms: Some(warm.report.p99_jct_ms),
         jain_fairness: Some(warm.report.jain_fairness),
         sched: warm.result.metrics.sched,
@@ -314,7 +319,7 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"jct_ms\": {}, \
-             \"decisions\": {}, \"ns_per_decision\": {:.1}, \
+             \"decisions\": {}, \"ns_per_decision\": {:.1}, \"stages\": {}, \
              \"schedule_invocations\": {}, \"view_rebuilds\": {}, \
              \"view_deltas\": {}, \
              \"ready_list_rebuilds\": {}, \
@@ -326,7 +331,8 @@ fn main() {
              \"score_cache_invalidations\": {}, \
              \"slot_memo_hits\": {}, \"slot_memo_misses\": {}, \
              \"inv_index_hits\": {}, \"inv_index_updates\": {}, \
-             \"inv_index_rebuilds\": {}, \
+             \"inv_index_rebuilds\": {}, \"inv_stage_activations\": {}, \
+             \"inv_flip_diffs\": {}, \
              \"ticks\": {}, \"maint_passes\": {}, \
              \"exec_crashes\": {}, \"tasks_recomputed\": {}, \
              \"stage_resubmissions\": {}, \"task_failures\": {}",
@@ -335,6 +341,7 @@ fn main() {
             r.jct_ms,
             r.decisions,
             r.ns_per_decision,
+            r.stages,
             s.schedule_invocations,
             s.view_rebuilds,
             s.view_deltas,
@@ -355,6 +362,8 @@ fn main() {
             s.inv_index_hits,
             s.inv_index_updates,
             s.inv_index_rebuilds,
+            s.inv_stage_activations,
+            s.inv_flip_diffs,
             r.cache.ticks,
             r.cache.maint_passes,
             r.faults.exec_crashes,

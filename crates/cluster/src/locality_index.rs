@@ -2,10 +2,10 @@
 //! fast path.
 //!
 //! The sequential scheduler recomputed every task's locality on every
-//! query by scanning [`DataMap`]'s per-block hash entries and walking the
-//! topology — O(blocks × execs) per task per query, repeated for every
-//! pending task of every ready stage on every scheduling round. This
-//! module replaces those scans with:
+//! query by scanning [`DataMap`]'s per-block `BTreeMap` replica lists and
+//! walking the topology — O(blocks × execs) per task per query, repeated
+//! for every pending task of every ready stage on every scheduling round.
+//! This module replaces those scans with:
 //!
 //! * **dense bitsets** summarizing residency: one cached-executors row and
 //!   one disk-nodes row of `u64` words per block, indexed by a flat block
@@ -24,7 +24,7 @@
 //!   pending-churn and residency-flip delta streams, so Spark's
 //!   `computeValidLocalityLevels` costs O(changed since the last query)
 //!   instead of a pending walk per placement probe;
-//! * an **inverted pending-work index**: for every (stage, sub-ANY
+//! * an **inverted pending-work index**: for every (active stage, sub-ANY
 //!   locality level, executor), the number of *pending* tasks that would
 //!   run at exactly that level there, plus a strict variant counting only
 //!   tasks whose best-anywhere level *is* that level. Maintained eagerly —
@@ -38,6 +38,14 @@
 //!   skip probing executors with provably no work at a level, which keeps
 //!   the gate *conservative and exact* — see `DESIGN.md` §14 for the
 //!   order-preservation argument.
+//! * **stage scoping**: only *active* stages are folded into the inverted
+//!   index — a stage is folded in by
+//!   [`activate_stage`](LocalityIndex::activate_stage) when it first
+//!   becomes schedulable (like Spark's `TaskSetManager`, which exists only
+//!   once its stage is submitted) and folded out by
+//!   [`release_stage`](LocalityIndex::release_stage). A per-block count of
+//!   active readers lets a residency flip on a block no active stage reads
+//!   skip the reader diff entirely (`DESIGN.md` §20).
 //!
 //! The index owns the [`DataMap`] and mirrors every mutation
 //! ([`add_disk`](LocalityIndex::add_disk),
@@ -88,6 +96,13 @@ pub struct IndexStats {
     /// From-scratch inverted-index builds. Must stay 1 (the initial build
     /// in [`LocalityIndex::new`]), like `ready_list_rebuilds`.
     pub inv_index_rebuilds: u64,
+    /// Stages folded into the inverted index by
+    /// [`LocalityIndex::activate_stage`]: at most one per stage in a
+    /// fault-free run (a lineage resubmission re-activates).
+    pub inv_stage_activations: u64,
+    /// Residency flips that ran the reader diff (the rest touched a block
+    /// no active stage reads and only bumped the generation).
+    pub inv_flip_diffs: u64,
 }
 
 /// `Locality::Any` as the packed `u8` the index stores levels in.
@@ -197,15 +212,17 @@ struct StageScan {
 // lint: incremental(inv_cnt, mutators = [inv_insert_task, inv_remove_task, inv_commit], oracle = check_inv_consistency)
 // lint: incremental(inv_scnt, mutators = [inv_insert_task, inv_remove_task, inv_commit], oracle = check_inv_consistency)
 // lint: incremental(inv_pending, mutators = [inv_insert_task, inv_remove_task])
+// lint: incremental(inv_active, mutators = [activate_stage, release_stage], oracle = check_inv_consistency)
+// lint: incremental(inv_active_readers, mutators = [activate_stage, release_stage], oracle = check_inv_consistency)
 // lint: incremental(inv_pending_len, mutators = [inv_insert_task, inv_remove_task])
 // lint: incremental(inv_best, mutators = [inv_insert_task, inv_commit])
 // lint: incremental(inv_best_any, mutators = [inv_insert_task, inv_remove_task, inv_commit])
 // lint: incremental(inv_rack_best, mutators = [inv_insert_task, inv_commit])
-// lint: incremental(readers)
-// lint: incremental(memo, mutators = [on_pending_inserted, task_locality, task_best_level, valid_levels, scan_first])
+// lint: incremental(readers, oracle = check_inv_consistency)
+// lint: incremental(memo, mutators = [on_pending_inserted, task_locality, task_best_level, valid_levels, scan_first, release_stage])
 // lint: incremental(contrib_memo, mutators = [inv_commit, on_pending_removed, on_pending_inserted, release_stage, valid_levels])
 // lint: incremental(scan_memo, mutators = [inv_commit, release_stage, scan_first])
-// lint: hotpath(bump, inv_capture, inv_commit, inv_insert_task, inv_remove_task, pending_level_count, pending_strict_count, scan_first)
+// lint: hotpath(bump, add_disk, add_cached, remove_cached, remove_disk, inv_capture, inv_commit, inv_insert_task, inv_remove_task, pending_level_count, pending_strict_count, scan_first)
 pub struct LocalityIndex {
     data: DataMap,
     /// Flat block id = `rdd_base[rdd] + partition`.
@@ -266,12 +283,20 @@ pub struct LocalityIndex {
     /// below ANY.
     inv_rack_best: Vec<Vec<u8>>,
     /// `readers[flat_block]` = the `(stage, task)` pairs reading the block
-    /// (deduplicated) — the reverse of `task_blocks`, i.e. exactly the
-    /// tasks a residency flip on the block can re-level.
+    /// — the reverse of `task_blocks`, i.e. exactly the tasks a residency
+    /// flip on the block can re-level.
     readers: Vec<Vec<(u32, u32)>>,
+    /// Is the stage folded into the inverted index? Only active stages
+    /// carry a pending mirror and counts; an inactive stage's are all zero.
+    inv_active: Vec<bool>,
+    /// `inv_active_readers[flat_block]`: entries of `readers[flat_block]`
+    /// whose stage is active. Zero ⟹ a residency flip on the block can
+    /// re-level no mirrored task, so the mutators skip the reader diff.
+    inv_active_readers: Vec<u32>,
     inv_hits: Cell<u64>,
     inv_updates: Cell<u64>,
-    inv_rebuilds: Cell<u64>,
+    inv_activations: u64,
+    inv_flip_diffs: u64,
     // Reusable scratch for the mutation diffs (hot path: one
     // capture/commit pair per residency flip; no per-flip allocation).
     inv_readers_scratch: Vec<(u32, u32)>,
@@ -394,12 +419,24 @@ impl LocalityIndex {
             .collect();
 
         let flat = |rdd_base: &[u32], b: BlockId| rdd_base[b.rdd.index()] + b.partition;
+        // Deduplicated in first-occurrence order: a task listing one block
+        // twice reads it once (one `readers` entry, one active-reader
+        // count, one diff per flip); levels are a max, so unaffected.
         let task_blocks: Vec<Vec<Vec<u32>>> = task_views
             .iter()
             .map(|per_task| {
                 per_task
                     .iter()
-                    .map(|tv| tv.loc_blocks.iter().map(|&b| flat(&rdd_base, b)).collect())
+                    .map(|tv| {
+                        let mut v: Vec<u32> = Vec::with_capacity(tv.loc_blocks.len());
+                        for &b in &tv.loc_blocks {
+                            let bi = flat(&rdd_base, b);
+                            if !v.contains(&bi) {
+                                v.push(bi);
+                            }
+                        }
+                        v
+                    })
                     .collect()
             })
             .collect();
@@ -412,12 +449,7 @@ impl LocalityIndex {
         for (s, per_task) in task_blocks.iter().enumerate() {
             for (k, blocks) in per_task.iter().enumerate() {
                 for &bi in blocks {
-                    let ent = (s as u32, k as u32);
-                    let v = &mut readers[bi as usize];
-                    // Dedup (a task listing one block twice must diff once).
-                    if !v.contains(&ent) {
-                        v.push(ent);
-                    }
+                    readers[bi as usize].push((s as u32, k as u32));
                 }
             }
         }
@@ -461,9 +493,12 @@ impl LocalityIndex {
                 .map(|pt| vec![L_ANY; pt.len() * nr])
                 .collect(),
             readers,
+            inv_active: vec![false; n_stages],
+            inv_active_readers: vec![0; n_blocks as usize],
             inv_hits: Cell::new(0),
             inv_updates: Cell::new(0),
-            inv_rebuilds: Cell::new(0),
+            inv_activations: 0,
+            inv_flip_diffs: 0,
             inv_readers_scratch: Vec::new(),
             inv_levels_scratch: Vec::new(),
             inv_news_scratch: Vec::new(),
@@ -485,7 +520,6 @@ impl LocalityIndex {
             }
         }
         idx.data = data;
-        idx.inv_rebuild();
         idx
     }
 
@@ -523,43 +557,56 @@ impl LocalityIndex {
 
     // ------------------------------------------------------------------
     // Mutations (mirrored into the owned DataMap)
+    //
+    // Each flips one residency bit and bumps the block's generation. The
+    // reader diff (`inv_capture`/`inv_commit`) runs only when some active
+    // stage reads the block; otherwise no mirrored task can re-level.
     // ------------------------------------------------------------------
 
     /// Record a block written to a node's disk (task output / spill).
+    // lint: allow(panic-surface): node ids come from the topology the rack table was built from
     pub fn add_disk(&mut self, b: BlockId, node: NodeId) {
         let bi = self.flat_id(b) as usize;
         if !get_bit(self.disk_row(bi), node.0) {
             let rack = self.node_rack[node.index()] as usize;
-            self.inv_capture(bi, rack);
+            let diff = self.inv_capture(bi, rack);
             set_bit(self.disk_row_mut(bi), node.0);
             self.bump(bi);
-            self.inv_commit(bi, rack);
+            if diff {
+                self.inv_commit(bi, rack);
+            }
         }
         self.data.add_disk(b, node);
     }
 
     /// Record a cache insertion.
+    // lint: allow(panic-surface): executor ids come from the topology the node/rack tables were built from
     pub fn add_cached(&mut self, b: BlockId, exec: ExecId) {
         let bi = self.flat_id(b) as usize;
         if !get_bit(self.cached_row(bi), exec.0) {
             let rack = self.node_rack[self.exec_node[exec.index()] as usize] as usize;
-            self.inv_capture(bi, rack);
+            let diff = self.inv_capture(bi, rack);
             set_bit(self.cached_row_mut(bi), exec.0);
             self.bump(bi);
-            self.inv_commit(bi, rack);
+            if diff {
+                self.inv_commit(bi, rack);
+            }
         }
         self.data.add_cached(b, exec);
     }
 
     /// Record a cache eviction.
+    // lint: allow(panic-surface): executor ids come from the topology the node/rack tables were built from
     pub fn remove_cached(&mut self, b: BlockId, exec: ExecId) {
         let bi = self.flat_id(b) as usize;
         if get_bit(self.cached_row(bi), exec.0) {
             let rack = self.node_rack[self.exec_node[exec.index()] as usize] as usize;
-            self.inv_capture(bi, rack);
+            let diff = self.inv_capture(bi, rack);
             clear_bit(self.cached_row_mut(bi), exec.0);
             self.bump(bi);
-            self.inv_commit(bi, rack);
+            if diff {
+                self.inv_commit(bi, rack);
+            }
         }
         self.data.remove_cached(b, exec);
     }
@@ -567,14 +614,17 @@ impl LocalityIndex {
     /// Remove a node's disk replica (executor crash losing local output
     /// files). Bumps generations exactly like the other mutations so
     /// memoized localities go stale correctly.
+    // lint: allow(panic-surface): node ids come from the topology the rack table was built from
     pub fn remove_disk(&mut self, b: BlockId, node: NodeId) {
         let bi = self.flat_id(b) as usize;
         if get_bit(self.disk_row(bi), node.0) {
             let rack = self.node_rack[node.index()] as usize;
-            self.inv_capture(bi, rack);
+            let diff = self.inv_capture(bi, rack);
             clear_bit(self.disk_row_mut(bi), node.0);
             self.bump(bi);
-            self.inv_commit(bi, rack);
+            if diff {
+                self.inv_commit(bi, rack);
+            }
         }
         self.data.remove_disk(b, node);
     }
@@ -746,9 +796,15 @@ impl LocalityIndex {
     /// readers and their current levels across rack `rack`'s executors —
     /// the only executors a single-block, single-rack residency flip can
     /// re-level (every level test in `block_level` resolves within the
-    /// executor's own rack).
+    /// executor's own rack). Returns `false`, capturing nothing, when no
+    /// active stage reads the block: no mirrored task can re-level, so
+    /// the caller skips [`Self::inv_commit`].
     // lint: allow(panic-surface): reader (stage, task) pairs were minted from task_blocks; all rows sized at build
-    fn inv_capture(&mut self, bi: usize, rack: usize) {
+    fn inv_capture(&mut self, bi: usize, rack: usize) -> bool {
+        if self.inv_active_readers[bi] == 0 {
+            return false;
+        }
+        self.inv_flip_diffs += 1;
         let mut readers = std::mem::take(&mut self.inv_readers_scratch);
         let mut olds = std::mem::take(&mut self.inv_levels_scratch);
         let mut news = std::mem::take(&mut self.inv_news_scratch);
@@ -766,6 +822,7 @@ impl LocalityIndex {
         self.inv_readers_scratch = readers;
         self.inv_levels_scratch = olds;
         self.inv_news_scratch = news;
+        true
     }
 
     /// Post-flip diff: recompute each captured reader's levels across the
@@ -912,18 +969,32 @@ impl LocalityIndex {
         self.inv_tmp_scratch = tmp;
     }
 
-    /// From-scratch build with every task pending — the simulator's
-    /// initial state (each `StageRuntime` starts with `PendingSet::full`,
-    /// the contract `sim.rs` documents). Runs exactly once, from [`new`].
-    ///
-    /// [`new`]: LocalityIndex::new
-    fn inv_rebuild(&mut self) {
-        self.inv_rebuilds.set(self.inv_rebuilds.get() + 1);
-        for s in 0..self.task_blocks.len() {
-            debug_assert_eq!(self.inv_pending_len[s], 0, "rebuild over a live index");
-            for k in 0..self.task_blocks[s].len() {
-                self.inv_insert_task(s, k);
+    /// Is stage `s` folded into the inverted index?
+    pub fn is_stage_active(&self, s: usize) -> bool {
+        self.inv_active[s]
+    }
+
+    /// Fold stage `s` into the inverted index: mark it active, count its
+    /// tasks as active readers of their blocks, and insert every task in
+    /// the authoritative `pending` set. The simulator calls this when the
+    /// stage first becomes schedulable (and again after a lineage
+    /// resubmission re-opens a released stage); placement only probes
+    /// schedulable stages, so every probed stage is active.
+    pub fn activate_stage(&mut self, s: usize, pending: &PendingSet) {
+        debug_assert!(!self.inv_active[s], "stage {s} activated twice");
+        debug_assert_eq!(
+            self.inv_pending_len[s], 0,
+            "inactive stage {s} holds a mirror"
+        );
+        self.inv_active[s] = true;
+        self.inv_activations += 1;
+        for blocks in &self.task_blocks[s] {
+            for &bi in blocks {
+                self.inv_active_readers[bi as usize] += 1;
             }
+        }
+        for k in pending.iter() {
+            self.inv_insert_task(s, k as usize);
         }
     }
 
@@ -931,8 +1002,13 @@ impl LocalityIndex {
     /// (non-speculative launch). Mirrors the membership change; the
     /// folded contribution counts subtract exactly the mask that was
     /// folded for the task (stale-if-dirty, which is precisely what
-    /// `cnt` contains — the dirty re-fold skips popped tasks).
+    /// `cnt` contains — the dirty re-fold skips popped tasks). A no-op on
+    /// an inactive stage: [`Self::activate_stage`] folds in whatever is
+    /// pending when it runs.
     pub fn on_pending_removed(&mut self, s: usize, k: u32) {
+        if !self.inv_active[s] {
+            return;
+        }
         self.inv_updates.set(self.inv_updates.get() + 1);
         self.inv_remove_task(s, k as usize);
         let cm = &mut self.contrib_memo.get_mut()[s];
@@ -942,8 +1018,12 @@ impl LocalityIndex {
     }
 
     /// The simulator re-inserted task `k` of stage `s` into its pending
-    /// set (failure recovery / stage resubmission).
+    /// set (failure recovery / stage resubmission). A no-op on an inactive
+    /// stage, like [`Self::on_pending_removed`].
     pub fn on_pending_inserted(&mut self, s: usize, k: u32) {
+        if !self.inv_active[s] {
+            return;
+        }
         self.inv_updates.set(self.inv_updates.get() + 1);
         self.inv_insert_task(s, k as usize);
         if self.contrib_memo.get_mut()[s].init {
@@ -956,18 +1036,36 @@ impl LocalityIndex {
         }
     }
 
-    /// Drop stage `s`'s persistent scan (capacity included). Called by
-    /// the simulator when the stage completes: the candidate bitsets
-    /// otherwise hold `executors × 4 levels × tasks` bits for the stage's
-    /// lifetime, which at 2000 executors × 16k tasks is real memory. A
-    /// later lineage resubmission rebuilds them through the inserts-key
-    /// reset.
+    /// Fold stage `s` out of the inverted index and drop its per-stage
+    /// memos (capacity included). Called by the simulator when the stage
+    /// completes or its job is rejected. Any task still pending is
+    /// removed, so a stage released with a non-empty pending set leaves
+    /// no counts behind. The candidate bitsets alone would otherwise hold
+    /// `executors × 4 levels × tasks` bits for the stage's lifetime, which
+    /// at 2000 executors × 16k tasks is real memory. A later lineage
+    /// resubmission re-activates the stage and re-folds everything from
+    /// scratch.
     pub fn release_stage(&mut self, s: usize) {
         self.scan_memo.borrow_mut()[s] = StageScan::default();
-        // Contribution counts drain to zero with pending; free the
-        // per-task vectors too. A lineage resubmission re-folds from
-        // scratch through the `init` flag.
+        // Free the per-task contribution vectors and locality memos too;
+        // a re-activated stage re-folds through the `init` flag, and a
+        // memo reset to stamp 0 recomputes on its next query.
         self.contrib_memo.get_mut()[s] = ContribState::default();
+        self.memo.get_mut()[s].fill_with(TaskMemo::default);
+        if !self.inv_active[s] {
+            return;
+        }
+        self.inv_active[s] = false;
+        for k in 0..self.task_blocks[s].len() {
+            if self.inv_pending[s][k] {
+                self.inv_remove_task(s, k);
+            }
+        }
+        for blocks in &self.task_blocks[s] {
+            for &bi in blocks {
+                self.inv_active_readers[bi as usize] -= 1;
+            }
+        }
     }
 
     /// Pending tasks of stage `s` at exactly `level` on executor `e`.
@@ -977,6 +1075,7 @@ impl LocalityIndex {
     /// ungated walk. First-match order is therefore preserved bit-for-bit.
     // lint: allow(panic-surface): stage/executor ids are dense and bound the per-stage count rows by construction
     pub fn pending_level_count(&self, s: usize, e: ExecId, level: Locality) -> u32 {
+        debug_assert!(self.inv_active[s], "gate on inactive stage {s}");
         let ne = self.num_execs as usize;
         let li = level.index();
         let c = if li < L_ANY as usize {
@@ -1002,6 +1101,7 @@ impl LocalityIndex {
     /// gates the plain one.
     // lint: allow(panic-surface): stage/executor ids are dense and bound the per-stage count rows by construction
     pub fn pending_strict_count(&self, s: usize, e: ExecId, level: Locality) -> u32 {
+        debug_assert!(self.inv_active[s], "gate on inactive stage {s}");
         let li = level.index();
         let c = if li < L_ANY as usize {
             self.inv_scnt[s][li * self.num_execs as usize + e.index()]
@@ -1018,9 +1118,24 @@ impl LocalityIndex {
     /// From-scratch oracle for the inverted index on stage `s`: rebuild
     /// every count from the raw residency bitsets and the authoritative
     /// `pending` set, and compare against the incrementally maintained
-    /// state (including the mirror itself). Debug-assert fodder for the
-    /// simulator's scheduling loop and the differential proptests.
+    /// state (including the mirror itself). An inactive stage must hold
+    /// an all-zero mirror, zero counts and empty memos, whatever `pending`
+    /// says. Either way the active-reader counts of the blocks the stage
+    /// reads must equal a recount from `task_blocks`. Debug-assert fodder for the simulator's
+    /// scheduling loop and the differential proptests.
     pub fn check_inv_consistency(&self, s: usize, pending: &PendingSet) -> bool {
+        if !self.active_readers_consistent(s) {
+            return false;
+        }
+        if !self.inv_active[s] {
+            return self.inv_pending_len[s] == 0
+                && self.inv_best_any[s] == 0
+                && self.inv_pending[s].iter().all(|&p| !p)
+                && self.inv_cnt[s].iter().all(|&c| c == 0)
+                && self.inv_scnt[s].iter().all(|&c| c == 0)
+                && !self.contrib_memo.borrow()[s].init
+                && self.scan_memo.borrow()[s].key.is_none();
+        }
         let ne = self.num_execs as usize;
         let nr = self.rack_exec_range.len();
         if pending.len() as u32 != self.inv_pending_len[s] {
@@ -1095,6 +1210,28 @@ impl LocalityIndex {
         cnt == self.inv_cnt[s] && scnt == self.inv_scnt[s] && best_any == self.inv_best_any[s]
     }
 
+    /// Recount the active readers of every block stage `s` reads, from
+    /// `task_blocks`: the block's `readers` must list task `(s, k)` and
+    /// only tasks whose `task_blocks` name the block, and the entries of
+    /// active stages must number exactly the maintained count. Checking
+    /// every active stage covers every block a flip must diff.
+    fn active_readers_consistent(&self, s: usize) -> bool {
+        self.task_blocks[s].iter().enumerate().all(|(k, blocks)| {
+            blocks.iter().all(|&bi| {
+                let rs = &self.readers[bi as usize];
+                rs.contains(&(s as u32, k as u32))
+                    && rs
+                        .iter()
+                        .all(|&(s2, k2)| self.task_blocks[s2 as usize][k2 as usize].contains(&bi))
+                    && rs
+                        .iter()
+                        .filter(|&&(s2, _)| self.inv_active[s2 as usize])
+                        .count()
+                        == self.inv_active_readers[bi as usize] as usize
+            })
+        })
+    }
+
     /// Does any disk replica of the block exist?
     pub fn on_disk_anywhere(&self, b: BlockId) -> bool {
         self.disk_row(self.flat_id(b) as usize)
@@ -1107,8 +1244,11 @@ impl LocalityIndex {
     // ------------------------------------------------------------------
 
     /// Global residency generation: changes iff any derived locality state
-    /// may have changed. The simulator snapshots it to detect when a
-    /// scheduler's assignment batch went stale mid-application.
+    /// may have changed. Every residency flip bumps it, including flips
+    /// that skip the reader diff. The simulator snapshots it before
+    /// applying a `schedule` result of several assignments (only
+    /// `GreedyFifo` returns those; the ordered schedulers return at most
+    /// one) and discards the rest once a launch moved it.
     pub fn generation(&self) -> u64 {
         self.global_gen
     }
@@ -1258,6 +1398,9 @@ impl LocalityIndex {
     /// from the pending-churn and residency-flip delta streams (see
     /// `ContribState`).
     pub fn valid_levels(&self, s: usize, pending: &PendingSet) -> ([Locality; 4], usize) {
+        // The dirty feed comes from `inv_commit`, which sees mirrored
+        // (active) readers only.
+        debug_assert!(self.inv_active[s], "valid levels of inactive stage {s}");
         let mut cms = self.contrib_memo.borrow_mut();
         let cm = &mut cms[s];
         if !cm.init {
@@ -1341,6 +1484,9 @@ impl LocalityIndex {
         strict: bool,
         pending: &PendingSet,
     ) -> Option<u32> {
+        // Residency flips patch the scan through `inv_commit`, which sees
+        // mirrored (active) readers only.
+        debug_assert!(self.inv_active[s], "probe of inactive stage {s}");
         self.queries.set(self.queries.get() + 1);
         let mut sms = self.scan_memo.borrow_mut();
         let sm = &mut sms[s];
@@ -1435,7 +1581,11 @@ impl LocalityIndex {
             score_cache_invalidations: self.score_invalidations.get(),
             inv_index_hits: self.inv_hits.get(),
             inv_index_updates: self.inv_updates.get(),
-            inv_index_rebuilds: self.inv_rebuilds.get(),
+            // `new` is the one from-scratch build: the index starts empty
+            // and `activate_stage` folds stages in incrementally.
+            inv_index_rebuilds: 1,
+            inv_stage_activations: self.inv_activations,
+            inv_flip_diffs: self.inv_flip_diffs,
         }
     }
 }
@@ -1568,6 +1718,7 @@ mod tests {
     fn valid_levels_memo_tracks_pending() {
         let (_dag, _topo, mut idx) = build();
         let mut pending = PendingSet::full(6);
+        idx.activate_stage(0, &pending);
         let (lv, n) = idx.valid_levels(0, &pending);
         assert!(n >= 2);
         assert_eq!(lv[n - 1], Locality::Any);
@@ -1588,6 +1739,7 @@ mod tests {
         let (_dag, _topo, mut idx) = build();
         idx.add_cached(BlockId::new(RddId(0), 2), ExecId(3));
         let pending = PendingSet::full(6);
+        idx.activate_stage(0, &pending);
         // Oracle: sequential first-match over the pending set.
         let seq = |idx: &LocalityIndex, e: ExecId, level: Locality, strict: bool| {
             pending.iter().find(|&k| {
@@ -1645,6 +1797,10 @@ mod tests {
         let (_dag, _topo, mut idx) = build();
         let mut pending = PendingSet::full(6);
         assert_eq!(idx.stats().inv_index_rebuilds, 1);
+        // Inactive: an empty mirror, whatever the pending set holds.
+        assert!(idx.check_inv_consistency(0, &pending));
+        idx.activate_stage(0, &pending);
+        assert_eq!(idx.stats().inv_stage_activations, 1);
         assert!(idx.check_inv_consistency(0, &pending));
 
         // Interleave residency flips with pending pops/reinserts,
@@ -1719,6 +1875,7 @@ mod tests {
     fn gate_zero_implies_probe_none() {
         let (_dag, _topo, mut idx) = build();
         let pending = PendingSet::full(6);
+        idx.activate_stage(0, &pending);
         idx.add_cached(BlockId::new(RddId(0), 3), ExecId(2));
         for e in 0..8u32 {
             for level in Locality::ALL {
@@ -1744,6 +1901,7 @@ mod tests {
     fn oracle_detects_injected_drift() {
         let (_dag, _topo, mut idx) = build();
         let pending = PendingSet::full(6);
+        idx.activate_stage(0, &pending);
         assert!(idx.check_inv_consistency(0, &pending));
         let slot = idx.inv_cnt[0].iter().position(|&c| c > 0).unwrap();
         idx.inv_cnt[0][slot] -= 1; // lint: allow(mutation-escape): deliberate drift injection to prove the oracle trips
@@ -1752,6 +1910,36 @@ mod tests {
         assert!(idx.check_inv_consistency(0, &pending));
         idx.inv_best_any[0] += 1; // lint: allow(mutation-escape): deliberate drift injection to prove the oracle trips
         assert!(!idx.check_inv_consistency(0, &pending));
+    }
+
+    #[test]
+    fn release_folds_out_pending_and_inactive_flips_skip_the_diff() {
+        let (_dag, _topo, mut idx) = build();
+        let pending = PendingSet::full(6);
+        let b1 = BlockId::new(RddId(0), 1);
+        // No active stage reads anything: the flip bumps the generation
+        // but runs no reader diff.
+        let g0 = idx.generation();
+        idx.add_cached(b1, ExecId(0));
+        assert!(idx.generation() > g0);
+        assert_eq!(idx.stats().inv_flip_diffs, 0);
+        idx.activate_stage(0, &pending);
+        assert!(idx.is_stage_active(0));
+        idx.add_cached(b1, ExecId(4));
+        assert_eq!(idx.stats().inv_flip_diffs, 1);
+        assert!(idx.check_inv_consistency(0, &pending));
+        // Released with every task still pending (a rejected job's
+        // stage): nothing may stay behind.
+        idx.release_stage(0);
+        assert!(!idx.is_stage_active(0));
+        assert!(idx.check_inv_consistency(0, &pending));
+        idx.remove_cached(b1, ExecId(4));
+        assert_eq!(idx.stats().inv_flip_diffs, 1);
+        // Re-activation (lineage resubmission) folds in from scratch.
+        idx.activate_stage(0, &pending);
+        assert!(idx.check_inv_consistency(0, &pending));
+        assert_eq!(idx.stats().inv_stage_activations, 2);
+        assert_eq!(idx.stats().inv_index_rebuilds, 1);
     }
 
     #[test]

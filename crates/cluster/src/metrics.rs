@@ -252,6 +252,12 @@ pub struct SchedulerStats {
     /// From-scratch inverted-index builds (O(1) per run: once at startup,
     /// like `ready_list_rebuilds`).
     pub inv_index_rebuilds: u64,
+    /// Stages folded into the inverted index when they first became
+    /// schedulable: at most one per stage in a fault-free run.
+    pub inv_stage_activations: u64,
+    /// Residency flips that ran the inverted index's reader diff; the
+    /// rest touched a block no active stage reads.
+    pub inv_flip_diffs: u64,
 }
 
 /// Fault-injection and recovery counters. All zero in fault-free runs.
@@ -461,6 +467,8 @@ impl SimResult {
         r.counter("sched/inv_index_hits", s.inv_index_hits);
         r.counter("sched/inv_index_updates", s.inv_index_updates);
         r.counter("sched/inv_index_rebuilds", s.inv_index_rebuilds);
+        r.counter("sched/inv_stage_activations", s.inv_stage_activations);
+        r.counter("sched/inv_flip_diffs", s.inv_flip_diffs);
         let f = &self.metrics.faults;
         r.counter("faults/exec_crashes", f.exec_crashes);
         r.counter("faults/exec_restarts", f.exec_restarts);

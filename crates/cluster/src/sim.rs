@@ -44,12 +44,23 @@ const SIM_TIME_LIMIT: SimTime = 48 * 3600 * 1000;
 type TaskInputs = Arc<[(BlockId, f64)]>;
 
 /// Re-derive stage `si`'s schedulability predicate and push it into the
-/// view's incremental ready list. A free function over disjoint borrows so
-/// call sites inside loops that also borrow other `Simulation` fields
-/// (e.g. `self.dag.children(..)`) compile.
-fn sync_ready(cview: &mut ClusterView, stages: &[StageRuntime], si: usize) {
+/// view's incremental ready list. A stage turning schedulable while
+/// inactive is folded into the locality index's inverted pending-work
+/// index, so every stage placement can probe is active. A free function
+/// over disjoint borrows so call sites inside loops that also borrow other
+/// `Simulation` fields (e.g. `self.dag.children(..)`) compile.
+fn sync_ready(
+    cview: &mut ClusterView,
+    data: &mut LocalityIndex,
+    stages: &[StageRuntime],
+    si: usize,
+) {
     let st = &stages[si];
-    cview.set_stage_schedulable(si, st.ready && !st.completed && !st.pending.is_empty());
+    let on = st.ready && !st.completed && !st.pending.is_empty();
+    if on && !data.is_stage_active(si) {
+        data.activate_stage(si, &st.pending);
+    }
+    cview.set_stage_schedulable(si, on);
 }
 
 struct RunningAttempt {
@@ -64,8 +75,8 @@ struct RunningAttempt {
 }
 
 /// One simulation run in progress.
-// lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable, compact_free_execs], oracle = check_consistency)
-// lint: incremental(data, mutators = [launch, finish_task, complete_stage, proactive_sweeps, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted, release_stage], oracle = check_inv_consistency)
+// lint: incremental(cview, mutators = [run, handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable, compact_free_execs], oracle = check_consistency)
+// lint: incremental(data, mutators = [run, handle, with_jobs, launch, finish_task, complete_stage, proactive_sweeps, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted, activate_stage, release_stage], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(maint_dirty, mutators = [handle, launch, tick_maintenance], oracle = maintenance_pass)
 pub struct Simulation {
@@ -326,7 +337,7 @@ impl Simulation {
             );
             if self.stages[si].ready {
                 self.stages[si].ready = false;
-                sync_ready(&mut self.cview, &self.stages, si);
+                sync_ready(&mut self.cview, &mut self.data, &self.stages, si);
             }
         }
         // Open-loop arrivals become first-class events up front (job-id
@@ -392,6 +403,11 @@ impl Simulation {
         sched.set_tracing(self.trace_on);
         for s in self.dag.stage_ids() {
             if self.stages[s.index()].ready {
+                // Fold the stages schedulable from the start into the
+                // inverted index. Done here rather than in `new`, so a
+                // stage `with_jobs` gates is never folded in before its
+                // job is admitted.
+                sync_ready(&mut self.cview, &mut self.data, &self.stages, s.index());
                 if self.trace_on {
                     let num_tasks = self.dag.stage(s).num_tasks;
                     self.trace(TraceEvent::StageReady {
@@ -472,6 +488,8 @@ impl Simulation {
         self.metrics.sched.inv_index_hits = is.inv_index_hits;
         self.metrics.sched.inv_index_updates = is.inv_index_updates;
         self.metrics.sched.inv_index_rebuilds = is.inv_index_rebuilds;
+        self.metrics.sched.inv_stage_activations = is.inv_stage_activations;
+        self.metrics.sched.inv_flip_diffs = is.inv_flip_diffs;
         SimResult {
             jct,
             metrics: self.metrics,
@@ -533,7 +551,7 @@ impl Simulation {
                         .all(|p| self.stages[p.index()].completed)
                 {
                     self.stages[stage.index()].ready = true;
-                    sync_ready(&mut self.cview, &self.stages, stage.index());
+                    sync_ready(&mut self.cview, &mut self.data, &self.stages, stage.index());
                     if self.trace_on {
                         let num_tasks = self.dag.stage(stage).num_tasks;
                         self.trace(TraceEvent::StageReady { stage, num_tasks });
@@ -606,16 +624,25 @@ impl Simulation {
         );
         #[cfg(debug_assertions)]
         for &s in self.cview.ready_stages() {
-            // The inverted pending-work index vs a from-scratch rebuild,
-            // at every scheduling opportunity (the PR-1/3/6 oracle
-            // discipline). Ready stages only: an unready stage's drift
-            // would be caught at its first ready round, and the proptests
-            // cover all-stage checks.
+            // Placement probes ready stages only, and the index is exact
+            // only for active ones.
             debug_assert!(
-                self.data
-                    .check_inv_consistency(s as usize, &self.stages[s as usize].pending),
-                "inverted locality index drifted from from-scratch rebuild (stage {s})"
+                self.data.is_stage_active(s as usize),
+                "schedulable stage {s} is not folded into the inverted index"
             );
+        }
+        #[cfg(debug_assertions)]
+        for s in 0..self.stages.len() {
+            // The inverted pending-work index vs a from-scratch rebuild,
+            // at every scheduling opportunity, for every active stage
+            // (ready or waiting on running tasks and re-inserts). Inactive
+            // stages hold nothing; the proptests check that too.
+            if self.data.is_stage_active(s) {
+                debug_assert!(
+                    self.data.check_inv_consistency(s, &self.stages[s].pending),
+                    "inverted locality index drifted from from-scratch rebuild (stage {s})"
+                );
+            }
         }
         #[cfg(debug_assertions)]
         if let Some(jobs) = self.jobs.as_ref() {
@@ -950,7 +977,12 @@ impl Simulation {
             srt.pending.remove(a.task_index);
             srt.running += 1;
             self.data.on_pending_removed(a.stage.index(), a.task_index);
-            sync_ready(&mut self.cview, &self.stages, a.stage.index());
+            sync_ready(
+                &mut self.cview,
+                &mut self.data,
+                &self.stages,
+                a.stage.index(),
+            );
             let work = task_work;
             self.tracker.on_task_launched(task, work);
             sched.on_task_launched(task, work, self.now);
@@ -1149,12 +1181,12 @@ impl Simulation {
             self.trace(TraceEvent::StageComplete { stage: s });
         }
         self.stages[s.index()].completed = true;
-        sync_ready(&mut self.cview, &self.stages, s.index());
+        sync_ready(&mut self.cview, &mut self.data, &self.stages, s.index());
         self.metrics.per_stage[s.index()].completed_at = Some(self.now);
         self.completed_count += 1;
-        // Free the stage's persistent placement-scan memos: nothing probes
-        // a completed stage, and a lineage resubmission rebuilds them from
-        // the pending-set inserts key.
+        // Fold the stage out of the inverted index and free its memos:
+        // nothing probes a completed stage, and a lineage resubmission
+        // re-activates it through `sync_ready`.
         self.data.release_stage(s.index());
         // Advance the FIFO frontier for MRD.
         self.profile.frontier = self
@@ -1184,7 +1216,7 @@ impl Simulation {
                     );
                 } else {
                     self.stages[c.index()].ready = true;
-                    sync_ready(&mut self.cview, &self.stages, c.index());
+                    sync_ready(&mut self.cview, &mut self.data, &self.stages, c.index());
                     sched.on_stage_ready(c, self.now);
                     if self.trace_on {
                         newly_ready.push(c);
@@ -1249,7 +1281,7 @@ impl Simulation {
                 .all(|p| self.stages[p.index()].completed)
             {
                 self.stages[si].ready = true;
-                sync_ready(&mut self.cview, &self.stages, si);
+                sync_ready(&mut self.cview, &mut self.data, &self.stages, si);
                 if self.trace_on {
                     let num_tasks = self.dag.stage(s).num_tasks;
                     self.trace(TraceEvent::StageReady {
@@ -1273,7 +1305,7 @@ impl Simulation {
             let si = s.index();
             debug_assert!(!self.stages[si].ready && !self.stages[si].completed);
             self.stages[si].completed = true;
-            sync_ready(&mut self.cview, &self.stages, si);
+            sync_ready(&mut self.cview, &mut self.data, &self.stages, si);
             self.completed_count += 1;
             self.data.release_stage(si);
             for k in 0..self.dag.stage(s).num_tasks {
@@ -1669,7 +1701,12 @@ impl Simulation {
         srt.running = srt.running.saturating_sub(1);
         self.data
             .on_pending_inserted(task.stage.index(), task.index);
-        sync_ready(&mut self.cview, &self.stages, task.stage.index());
+        sync_ready(
+            &mut self.cview,
+            &mut self.data,
+            &self.stages,
+            task.stage.index(),
+        );
         self.spec_launched.remove(&task);
         let work = self.dag.stage(task.stage).task_work(task.index);
         self.tracker.on_task_requeued(task, work);
@@ -1872,7 +1909,7 @@ impl Simulation {
                 if !crt.completed {
                     crt.ready = false;
                 }
-                sync_ready(&mut self.cview, &self.stages, c.index());
+                sync_ready(&mut self.cview, &mut self.data, &self.stages, c.index());
             }
             // The FIFO frontier (MRD's cursor) may move backwards.
             self.profile.frontier = self
@@ -1905,7 +1942,7 @@ impl Simulation {
             .iter()
             .all(|p| self.stages[p.index()].completed);
         self.stages[si].ready = ready;
-        sync_ready(&mut self.cview, &self.stages, si);
+        sync_ready(&mut self.cview, &mut self.data, &self.stages, si);
         if ready && (was_completed || !had_pending) {
             // Re-entering the schedulable set: reset delay-scheduling
             // clocks.

@@ -734,7 +734,9 @@ mod tests {
                 loc_blocks: vec![BlockId::new(RddId(0), k)],
             })
             .collect()];
-        let index = LocalityIndex::new(&dag, &topo, data, &tasks);
+        let mut index = LocalityIndex::new(&dag, &topo, data, &tasks);
+        // Placement only ever queries schedulable, hence active, stages.
+        index.activate_stage(0, &stages[0].pending);
         Fixture {
             metrics: Metrics::new(dag.num_stages(), 4, false),
             narrow_mb: narrow_input_table(&dag),

@@ -272,8 +272,8 @@ impl PlacementFixture {
             }],
             (0..4).map(|_| TaskView { loc_blocks: vec![] }).collect(),
         ];
-        let index = dagon_cluster::LocalityIndex::new(&dag, &topo, data, &tasks);
-        let stages = dag
+        let mut index = dagon_cluster::LocalityIndex::new(&dag, &topo, data, &tasks);
+        let stages: Vec<StageRuntime> = dag
             .stages()
             .iter()
             .map(|st| StageRuntime {
@@ -285,6 +285,11 @@ impl PlacementFixture {
                 finished: 0,
             })
             .collect();
+        // Both stages are ready, so the simulator would have folded them
+        // into the inverted index.
+        for (s, st) in stages.iter().enumerate() {
+            index.activate_stage(s, &st.pending);
+        }
         Self {
             metrics: dagon_cluster::Metrics::new(dag.num_stages(), 4, false),
             narrow_mb: dagon_cluster::view::narrow_input_table(&dag),

@@ -175,9 +175,11 @@ const REGISTRY_KEYS: &[&str] = &[
     "sched/ect_heap_pops",
     "sched/ect_heap_stale",
     "sched/index_invalidations",
+    "sched/inv_flip_diffs",
     "sched/inv_index_hits",
     "sched/inv_index_rebuilds",
     "sched/inv_index_updates",
+    "sched/inv_stage_activations",
     "sched/locality_queries",
     "sched/locality_recomputes",
     "sched/ready_list_rebuilds",
@@ -236,6 +238,18 @@ fn metrics_registry_snapshot_on_paper_scale_run() {
     assert!(
         num("sched/inv_index_updates") > 0.0,
         "inverted index never updated at paper scale"
+    );
+    // Stage scoping: every stage is folded in once, when it first becomes
+    // schedulable, and most residency flips touch blocks no active stage
+    // reads, so they skip the reader diff.
+    assert_eq!(
+        out.result.metrics.sched.inv_stage_activations,
+        dag.num_stages() as u64,
+        "a stage was folded into the inverted index more than once"
+    );
+    assert!(
+        num("sched/inv_flip_diffs") * 4.0 < num("sched/index_invalidations"),
+        "most residency flips should skip the reader diff at paper scale"
     );
     // The lazy free-executor heap must be live (pops) and actually skip
     // stale entries under consume/release churn.

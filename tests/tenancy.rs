@@ -329,3 +329,63 @@ fn shared_inputs_give_cross_tenant_cache_hits() {
         "tenant 1 re-scanned a shared dataset without hitting cache"
     );
 }
+
+/// Rejection under the stage-scoped locality index: a burst against a
+/// one-job cap and a two-slot queue bounces jobs whose root stages were
+/// schedulable in the merged DAG before admission gated them. The run
+/// completes with the debug oracle checking every active stage at every
+/// scheduling opportunity, and only admitted jobs' stages are ever folded
+/// into the inverted index — each exactly once, since the run is
+/// fault-free.
+#[test]
+fn rejected_jobs_never_activate_their_stages() {
+    let tenants = vec![TenantSpec {
+        name: "burst".into(),
+        weight: 1,
+        mix: vec![Workload::KMeans, Workload::ConnectedComponent],
+        tasks: BoundedPareto::fixed(4.0),
+        client: ClientKind::OpenPoisson {
+            jobs: 6,
+            mean_interarrival_ms: 10,
+        },
+    }];
+    let stream = TenantStream::generate(&tenants, 3, &Scale::tiny(), &StreamOptions::default());
+    let adm = AdmissionConfig {
+        max_concurrent_jobs: 1,
+        queue_cap: 2,
+        ..Default::default()
+    };
+    let out = run_tenant_stream(
+        &stream,
+        &ClusterConfig::tiny(2, 4),
+        TenantPolicy::WeightedFairDagon,
+        adm,
+    );
+    let rejected: Vec<u32> = out
+        .result
+        .jobs
+        .iter()
+        .filter(|j| j.rejected)
+        .map(|j| j.job)
+        .collect();
+    assert!(
+        !rejected.is_empty(),
+        "burst under cap 1 + queue 2 must reject"
+    );
+    let rejected_stages: usize = rejected
+        .iter()
+        .map(|&j| stream.specs[j as usize].stages.len())
+        .sum();
+    let s = &out.result.metrics.sched;
+    assert_eq!(
+        s.inv_stage_activations,
+        (stream.dag.num_stages() - rejected_stages) as u64,
+        "a rejected job's stage was folded into the inverted index"
+    );
+    assert_eq!(s.inv_index_rebuilds, 1);
+    assert!(out
+        .result
+        .jobs
+        .iter()
+        .all(|j| j.rejected != j.completed_ms.is_some()));
+}
