@@ -4,7 +4,7 @@
 //! writes `BENCH_7.json` at the repo root: per-workload wall-clock
 //! milliseconds, a per-scheduling-decision cost (`ns_per_decision`), and
 //! the scheduling fast-path counters (`schedule_invocations`,
-//! `view_deltas`, `score_cache_*`, `inv_index_*`, …). Unlike Criterion
+//! `view_deltas`, `valid_level_rebuilds`, `inv_index_*`, …). Unlike Criterion
 //! this is cheap enough for CI and produces a single machine-readable
 //! file to diff across commits.
 //!
@@ -325,11 +325,8 @@ fn main() {
              \"ready_list_rebuilds\": {}, \
              \"ect_heap_pops\": {}, \"ect_heap_stale\": {}, \
              \"batches_discarded\": {}, \"assignments_discarded\": {}, \
-             \"locality_queries\": {}, \"locality_recomputes\": {}, \
+             \"locality_queries\": {}, \
              \"index_invalidations\": {}, \"valid_level_rebuilds\": {}, \
-             \"score_cache_hits\": {}, \"score_cache_misses\": {}, \
-             \"score_cache_invalidations\": {}, \
-             \"slot_memo_hits\": {}, \"slot_memo_misses\": {}, \
              \"inv_index_hits\": {}, \"inv_index_updates\": {}, \
              \"inv_index_rebuilds\": {}, \"inv_stage_activations\": {}, \
              \"inv_flip_diffs\": {}, \
@@ -351,14 +348,8 @@ fn main() {
             s.batches_discarded,
             s.assignments_discarded,
             s.locality_queries,
-            s.locality_recomputes,
             s.index_invalidations,
             s.valid_level_rebuilds,
-            s.score_cache_hits,
-            s.score_cache_misses,
-            s.score_cache_invalidations,
-            s.slot_memo_hits,
-            s.slot_memo_misses,
             s.inv_index_hits,
             s.inv_index_updates,
             s.inv_index_rebuilds,

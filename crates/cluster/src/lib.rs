@@ -56,4 +56,4 @@ pub use refprofile::{RefProfile, StageRef};
 pub use scheduler::{Assignment, Scheduler};
 pub use sim::Simulation;
 pub use topology::{ExecId, NodeId, RackId, Topology};
-pub use view::{ExecView, ScheduleShadow, SimView, SlotMemo, StageRuntime, TaskView};
+pub use view::{ExecView, ScheduleShadow, SimView, StageRuntime, TaskView};

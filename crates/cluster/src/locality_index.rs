@@ -12,16 +12,20 @@
 //!   id (per-RDD offsets). Node and rack membership tests become masked
 //!   word tests because [`crate::topology::Topology::build`] assigns node
 //!   ids contiguously per rack and executor ids contiguously per node;
-//! * **generation counters**: every residency change bumps the touched
-//!   block's generation and a global generation. Derived state carries the
-//!   generation sum it was computed from and is valid iff the sum is
-//!   unchanged (generations only grow, so equal sums mean untouched
-//!   blocks);
-//! * **per-task memos** of the full per-executor locality vector, filled
-//!   lazily and invalidated by generation mismatch — a cache hit turns
-//!   `task_locality` into two array reads;
-//! * **per-stage valid-level counts** folded once and maintained from the
-//!   pending-churn and residency-flip delta streams, so Spark's
+//! * a **global generation**: every residency change bumps it, so a
+//!   caller holding several decisions computed against one residency
+//!   state can tell whether a launch moved it;
+//! * **one fold per task**: a task's per-executor levels are computed
+//!   once, when its stage is folded into the inverted index (or the task
+//!   is re-inserted after a failure), and retracted once, when it leaves
+//!   the pending set. The fold fills the gate counts below, the stage's
+//!   per-(executor, level) scan rows and the task's valid-level
+//!   contribution; residency flips then move exactly the re-levelled
+//!   readers. Nothing is cached per task beyond what the fold maintains:
+//!   ad-hoc queries (`task_locality`, `task_best_level`) recompute from
+//!   the bitsets;
+//! * **per-stage valid-level counts** folded at activation and maintained
+//!   from the pending-churn and residency-flip delta streams, so Spark's
 //!   `computeValidLocalityLevels` costs O(changed since the last query)
 //!   instead of a pending walk per placement probe;
 //! * an **inverted pending-work index**: for every (active stage, sub-ANY
@@ -74,20 +78,13 @@ use crate::view::TaskView;
 /// queries run through the shared [`crate::view::SimView`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Locality lookups answered (task/block level queries).
+    /// Locality lookups answered (task/block level queries and probes).
     pub locality_queries: u64,
-    /// Task memos (re)computed — cache misses among those lookups.
-    pub memo_recomputes: u64,
-    /// Residency mutations that invalidated derived state.
+    /// Residency mutations (each bumps the global generation).
     pub invalidations: u64,
-    /// Valid-locality-ladder recomputations (per stage per round).
+    /// Valid-level folds: one per stage activation, which folds every
+    /// pending task's contribution mask into the stage's counts.
     pub valid_level_rebuilds: u64,
-    /// Placement scan/valid-level memo hits.
-    pub score_cache_hits: u64,
-    /// Placement scan/valid-level memo misses (rescans).
-    pub score_cache_misses: u64,
-    /// Memo entries discarded by generation/pending-version changes.
-    pub score_cache_invalidations: u64,
     /// Inverted-index gates that answered "no work here" (probe skipped).
     pub inv_index_hits: u64,
     /// Incremental inverted-index maintenance operations (pending-set
@@ -107,43 +104,38 @@ pub struct IndexStats {
 
 /// `Locality::Any` as the packed `u8` the index stores levels in.
 const L_ANY: u8 = Locality::Any as u8;
+/// `Locality::Process` as a packed `u8`.
+const L_PROCESS: u8 = Locality::Process as u8;
 
-/// Memoized per-task locality: the locality level on every executor plus
-/// the best level anywhere, stamped with the generation sum of the task's
-/// locality blocks at computation time.
-#[derive(Clone, Debug, Default)]
-struct TaskMemo {
-    /// `1 + Σ gen[block]` at computation time; 0 = never computed.
-    stamp: u64,
-    best: u8,
-    /// Bitmask of the levels this task contributes to its stage's valid
-    /// locality set: the levels seen walking executors in id order up to
-    /// and including the first PROCESS-local one — exactly the sequential
-    /// `computeValidLocalityLevels` inner loop with its early break.
-    contrib: u8,
-    levels: Box<[u8]>,
-}
-
-/// Per-stage valid-level contribution counts, maintained incrementally.
-/// `cnt[l]` is the number of pending tasks whose contribution mask
-/// includes level `l`. Folding is lazy: the first query walks pending once
-/// (`init`), and from then on launch pops subtract the folded mask,
-/// re-inserts add a fresh one, and residency flips enqueue exactly the
-/// re-leveled pending readers (`dirty`, fed by the same `inv_commit`
-/// diff that maintains the inverted counts) to be re-diffed at the next
-/// query — a query costs O(changed since the last one), not O(pending).
+/// Per-stage valid-level contribution counts, allocated when the stage is
+/// activated and freed when it is released. `cnt[l]` is the number of
+/// pending tasks whose contribution mask includes level `l`. The fold-in
+/// adds a task's mask, the fold-out subtracts the mask that was folded,
+/// and residency flips enqueue exactly the re-levelled pending readers
+/// (`dirty`, fed by the same `inv_commit` diff that maintains the
+/// inverted counts) to be re-diffed at the next query — a query costs
+/// O(changed since the last one), not O(pending).
 #[derive(Clone, Debug, Default)]
 struct ContribState {
-    init: bool,
     cnt: [u32; 4],
-    /// Per-task contribution mask currently folded into `cnt`; authoritative
-    /// while the task is pending (popped tasks keep their last mask so the
-    /// pop can subtract exactly what was folded).
+    /// Per-task contribution mask currently folded into `cnt`;
+    /// authoritative while the task is pending.
     applied: Vec<u8>,
-    /// Pending tasks re-leveled since the last fold, deduplicated via
+    /// Pending tasks re-levelled since the last query, deduplicated via
     /// `dirty_bit`.
     dirty: Vec<u32>,
     dirty_bit: Vec<bool>,
+}
+
+impl ContribState {
+    fn new(tasks: usize) -> Self {
+        Self {
+            cnt: [0; 4],
+            applied: vec![0; tasks],
+            dirty: Vec::new(),
+            dirty_bit: vec![false; tasks],
+        }
+    }
 }
 
 /// Add/remove one contribution mask to/from per-level counts.
@@ -163,52 +155,63 @@ fn contrib_sub(cnt: &mut [u32; 4], mut mask: u8) {
     }
 }
 
-/// Resumable placement scan over one stage's pending set, shared by
-/// every executor. Filling is lazy: one frontier examines tasks in
-/// ascending pending order only as far as any probe needs, and each
-/// examination fans the task's level on *every* executor (which
-/// `ensure_task` computes in one pass anyway) out to per-(executor,
-/// level) candidate bitsets. A probe for (executor, level) is then a
-/// word-wise `candidates & pending` scan — the first set bit is exactly
-/// the task the sequential first-match walk would return, so one
-/// examination pass is shared by every executor and every pick, and each
-/// task is examined at most once per *stage* (not per stage × executor)
-/// for the stage's whole lifetime.
-///
-/// The scan is **persistent**: it survives launch pops (popped tasks'
-/// bits are masked by the pending bitmap, and the frontier resumes
-/// through `PendingSet::next_after`) and residency flips (`inv_commit`
-/// moves exactly the re-leveled pending readers' bits between the level
-/// rows of exactly the affected executors — the same single-rack diff
-/// that maintains the inverted counts). Only a pending *insertion*
-/// (failure recovery) resets it, via the [`PendingSet::inserts`] key.
-/// The strict variant's best-anywhere filter reads the live `inv_best`
-/// instead of a value captured at examination time, so it never
-/// staleness-drifts. Invariant (debug-asserted on every bit-served
-/// return): a pending examined task's bit sits in the row of its
-/// *current* level on that executor.
+/// Fold one rack's levels (its executors in ascending id order) into a
+/// task's valid-level contribution mask: the levels seen walking
+/// executors in id order up to and including the first PROCESS-local one
+/// — the sequential `computeValidLocalityLevels` inner loop with its early
+/// break. Returns `true` once that break is reached.
+#[inline]
+fn contrib_fold(mask: &mut u8, levels: &[u8]) -> bool {
+    for &l in levels {
+        *mask |= 1 << l;
+        if l == L_PROCESS {
+            return true;
+        }
+    }
+    false
+}
+
+/// One stage's placement scan rows, allocated when the stage is activated
+/// and freed when it is released. Row `(e, level)` for the three sub-ANY
+/// levels holds exactly the pending tasks whose level on executor `e` is
+/// `level`: the fold-in sets a task's bits, the fold-out clears them, and
+/// `inv_commit` moves the re-levelled readers' bits. The ANY row is
+/// implicit — the pending bitmap minus the three sub-ANY rows. A probe for
+/// (executor, level) is therefore one word scan of one row, and its first
+/// set bit is exactly the task the sequential first-match walk over the
+/// pending set would return.
 #[derive(Clone, Debug, Default)]
 struct StageScan {
-    /// [`PendingSet::inserts`] the scan was filled under; `None` = never
-    /// filled (distinct from a valid scan at insert count 0).
-    key: Option<u64>,
-    /// Next pending task the frontier will examine; `None` = fully
-    /// scanned. May name a since-popped task: `next_after` chains stay
-    /// valid across pops.
-    cursor: Option<u32>,
-    /// Tasks the frontier has examined, as a packed bitmap.
-    examined: Vec<u64>,
-    /// `bits[(e × 4 + level) × words + w]`: examined tasks whose current
-    /// level on executor `e` is exactly `level`.
+    /// `bits[(e × 3 + level) × words ..][..words]`: the row of (executor
+    /// `e`, sub-ANY `level`).
     bits: Vec<u64>,
     /// Words per task bitmap (`ceil(tasks / 64)`).
     words: usize,
 }
 
+impl StageScan {
+    fn new(execs: usize, tasks: usize) -> Self {
+        let words = tasks.div_ceil(64);
+        Self {
+            bits: vec![0; execs * 3 * words],
+            words,
+        }
+    }
+
+    #[inline]
+    fn row(&self, e: usize, level: u8) -> &[u64] {
+        &self.bits[(e * 3 + level as usize) * self.words..][..self.words]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, e: usize, level: u8) -> &mut [u64] {
+        &mut self.bits[(e * 3 + level as usize) * self.words..][..self.words]
+    }
+}
+
 // lint: incremental(data, mutators = [add_disk, add_cached, remove_cached, remove_disk], init = [new], via = [add_disk, add_cached, remove_cached, remove_disk], pairs = [inv_capture, inv_commit], oracle = check_inv_consistency)
 // lint: incremental(cached_bits, mutators = [cached_row_mut])
 // lint: incremental(disk_bits, mutators = [disk_row_mut])
-// lint: incremental(gen, mutators = [bump])
 // lint: incremental(inv_cnt, mutators = [inv_insert_task, inv_remove_task, inv_commit], oracle = check_inv_consistency)
 // lint: incremental(inv_scnt, mutators = [inv_insert_task, inv_remove_task, inv_commit], oracle = check_inv_consistency)
 // lint: incremental(inv_pending, mutators = [inv_insert_task, inv_remove_task])
@@ -219,10 +222,9 @@ struct StageScan {
 // lint: incremental(inv_best_any, mutators = [inv_insert_task, inv_remove_task, inv_commit])
 // lint: incremental(inv_rack_best, mutators = [inv_insert_task, inv_commit])
 // lint: incremental(readers, oracle = check_inv_consistency)
-// lint: incremental(memo, mutators = [on_pending_inserted, task_locality, task_best_level, valid_levels, scan_first, release_stage])
-// lint: incremental(contrib_memo, mutators = [inv_commit, on_pending_removed, on_pending_inserted, release_stage, valid_levels])
-// lint: incremental(scan_memo, mutators = [inv_commit, release_stage, scan_first])
-// lint: hotpath(bump, add_disk, add_cached, remove_cached, remove_disk, inv_capture, inv_commit, inv_insert_task, inv_remove_task, pending_level_count, pending_strict_count, scan_first)
+// lint: incremental(contribs, mutators = [inv_insert_task, inv_remove_task, inv_commit, activate_stage, release_stage, valid_levels], oracle = check_inv_consistency)
+// lint: incremental(scans, mutators = [inv_insert_task, inv_remove_task, inv_commit, activate_stage, release_stage], oracle = check_inv_consistency)
+// lint: hotpath(add_disk, add_cached, remove_cached, remove_disk, inv_capture, inv_commit, inv_insert_task, inv_remove_task, pending_level_count, pending_strict_count, scan_first)
 pub struct LocalityIndex {
     data: DataMap,
     /// Flat block id = `rdd_base[rdd] + partition`.
@@ -235,8 +237,7 @@ pub struct LocalityIndex {
     /// `disk_bits[block × node_words ..][..node_words]`: nodes holding a
     /// disk replica.
     disk_bits: Vec<u64>,
-    /// Per-block mutation generation (monotone).
-    gen: Vec<u64>,
+    /// Residency mutations so far (monotone).
     global_gen: u64,
     // Topology summary (contiguous-id ranges, see module docs).
     num_execs: u32,
@@ -250,17 +251,13 @@ pub struct LocalityIndex {
     rack_exec_range: Vec<(u32, u32)>,
     /// `task_blocks[stage][task]` = flat ids of the task's locality blocks.
     task_blocks: Vec<Vec<Vec<u32>>>,
-    memo: RefCell<Vec<Vec<TaskMemo>>>,
-    contrib_memo: RefCell<Vec<ContribState>>,
-    /// One shared placement scan per stage (see [`StageScan`]).
-    scan_memo: RefCell<Vec<StageScan>>,
+    /// Per-stage valid-level counts (see [`ContribState`]). Behind a
+    /// `RefCell` because the shared-borrow query
+    /// [`valid_levels`](Self::valid_levels) drains the dirty queue.
+    contribs: RefCell<Vec<ContribState>>,
+    /// Per-stage placement scan rows (see [`StageScan`]).
+    scans: Vec<StageScan>,
     queries: Cell<u64>,
-    recomputes: Cell<u64>,
-    invalidations: Cell<u64>,
-    valid_rebuilds: Cell<u64>,
-    score_hits: Cell<u64>,
-    score_misses: Cell<u64>,
-    score_invalidations: Cell<u64>,
     // ---- Inverted pending-work index (see module docs) ----
     /// `inv_cnt[stage][level × num_execs + exec]` for the three sub-ANY
     /// levels: pending tasks at exactly `level` on `exec`. The ANY count
@@ -287,7 +284,8 @@ pub struct LocalityIndex {
     /// flip on the block can re-level.
     readers: Vec<Vec<(u32, u32)>>,
     /// Is the stage folded into the inverted index? Only active stages
-    /// carry a pending mirror and counts; an inactive stage's are all zero.
+    /// carry a pending mirror, counts, scan rows and contribution counts;
+    /// an inactive stage's are all zero or empty.
     inv_active: Vec<bool>,
     /// `inv_active_readers[flat_block]`: entries of `readers[flat_block]`
     /// whose stage is active. Zero ⟹ a residency flip on the block can
@@ -325,31 +323,6 @@ fn range_any(row: &[u64], a: u32, b: u32) -> bool {
         return true;
     }
     bb > 0 && row[bw] & ((1u64 << bb) - 1) != 0
-}
-
-/// Move examined task `k`'s candidate bit on executor `e` from level row
-/// `o` to row `n`. Unexamined tasks carry no bits (nothing to move).
-/// Callers only patch *pending* readers, whose bits a live memo keeps
-/// current through exactly these patches; on a stale memo (the task was
-/// examined, popped, and re-inserted since the last scan) the old-row
-/// bit may be elsewhere — skip, the next scan resets everything through
-/// the inserts key. Live-memo drift is policed by `scan_first`'s debug
-/// asserts instead.
-fn patch_scan_bits(sm: &mut StageScan, e: usize, k: u32, o: u8, n: u8) {
-    if sm.key.is_none() {
-        return;
-    }
-    let (w, b) = ((k / 64) as usize, 1u64 << (k % 64));
-    if sm.examined[w] & b == 0 {
-        return;
-    }
-    let ob = (e * 4 + o as usize) * sm.words + w;
-    let nb = (e * 4 + n as usize) * sm.words + w;
-    if sm.bits[ob] & b == 0 {
-        return;
-    }
-    sm.bits[ob] &= !b;
-    sm.bits[nb] |= b;
 }
 
 #[inline]
@@ -417,6 +390,17 @@ impl LocalityIndex {
                 }
             })
             .collect();
+        // Executor ids are rack-major: walking racks in order walks
+        // executors in ascending id order, which the contribution-mask
+        // fold in `inv_insert_task` relies on.
+        debug_assert_eq!(
+            rack_exec_range
+                .iter()
+                .filter(|&&(a, b)| a < b)
+                .try_fold(0, |next, &(a, b)| (a == next).then_some(b)),
+            Some(num_execs),
+            "executor ids must be rack-major"
+        );
 
         let flat = |rdd_base: &[u32], b: BlockId| rdd_base[b.rdd.index()] + b.partition;
         // Deduplicated in first-occurrence order: a task listing one block
@@ -440,11 +424,6 @@ impl LocalityIndex {
                     .collect()
             })
             .collect();
-        let memo = task_views
-            .iter()
-            .map(|per_task| vec![TaskMemo::default(); per_task.len()])
-            .collect();
-
         let mut readers: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_blocks as usize];
         for (s, per_task) in task_blocks.iter().enumerate() {
             for (k, blocks) in per_task.iter().enumerate() {
@@ -463,7 +442,6 @@ impl LocalityIndex {
             node_words,
             cached_bits: vec![0; exec_words * n_blocks as usize],
             disk_bits: vec![0; node_words * n_blocks as usize],
-            gen: vec![0; n_blocks as usize],
             global_gen: 0,
             num_execs,
             exec_node,
@@ -472,16 +450,9 @@ impl LocalityIndex {
             rack_node_range,
             rack_exec_range,
             task_blocks,
-            memo: RefCell::new(memo),
-            contrib_memo: RefCell::new(vec![ContribState::default(); task_views.len()]),
-            scan_memo: RefCell::new(vec![StageScan::default(); task_views.len()]),
+            contribs: RefCell::new(vec![ContribState::default(); n_stages]),
+            scans: vec![StageScan::default(); n_stages],
             queries: Cell::new(0),
-            recomputes: Cell::new(0),
-            invalidations: Cell::new(0),
-            valid_rebuilds: Cell::new(0),
-            score_hits: Cell::new(0),
-            score_misses: Cell::new(0),
-            score_invalidations: Cell::new(0),
             inv_cnt: vec![vec![0; 3 * ne]; n_stages],
             inv_scnt: vec![vec![0; 3 * ne]; n_stages],
             inv_pending: task_views.iter().map(|pt| vec![false; pt.len()]).collect(),
@@ -506,8 +477,8 @@ impl LocalityIndex {
             inv_pairs_scratch: Vec::new(),
             data: DataMap::default(),
         };
-        // Ingest the initial placement (no generation bumps needed: the
-        // memos are all empty).
+        // Ingest the initial placement (no generation bumps needed: no
+        // stage is folded in yet).
         for r in dag.rdds() {
             for b in r.blocks() {
                 let bi = idx.flat_id(b) as usize;
@@ -548,17 +519,10 @@ impl LocalityIndex {
         &mut self.disk_bits[bi * self.node_words..][..self.node_words]
     }
 
-    // lint: allow(panic-surface): `bi` is a flat block id < num_blocks, the size `gen` was built with
-    fn bump(&mut self, bi: usize) {
-        self.gen[bi] += 1;
-        self.global_gen += 1;
-        self.invalidations.set(self.invalidations.get() + 1);
-    }
-
     // ------------------------------------------------------------------
     // Mutations (mirrored into the owned DataMap)
     //
-    // Each flips one residency bit and bumps the block's generation. The
+    // Each flips one residency bit and bumps the global generation. The
     // reader diff (`inv_capture`/`inv_commit`) runs only when some active
     // stage reads the block; otherwise no mirrored task can re-level.
     // ------------------------------------------------------------------
@@ -571,7 +535,7 @@ impl LocalityIndex {
             let rack = self.node_rack[node.index()] as usize;
             let diff = self.inv_capture(bi, rack);
             set_bit(self.disk_row_mut(bi), node.0);
-            self.bump(bi);
+            self.global_gen += 1;
             if diff {
                 self.inv_commit(bi, rack);
             }
@@ -587,7 +551,7 @@ impl LocalityIndex {
             let rack = self.node_rack[self.exec_node[exec.index()] as usize] as usize;
             let diff = self.inv_capture(bi, rack);
             set_bit(self.cached_row_mut(bi), exec.0);
-            self.bump(bi);
+            self.global_gen += 1;
             if diff {
                 self.inv_commit(bi, rack);
             }
@@ -603,7 +567,7 @@ impl LocalityIndex {
             let rack = self.node_rack[self.exec_node[exec.index()] as usize] as usize;
             let diff = self.inv_capture(bi, rack);
             clear_bit(self.cached_row_mut(bi), exec.0);
-            self.bump(bi);
+            self.global_gen += 1;
             if diff {
                 self.inv_commit(bi, rack);
             }
@@ -612,8 +576,8 @@ impl LocalityIndex {
     }
 
     /// Remove a node's disk replica (executor crash losing local output
-    /// files). Bumps generations exactly like the other mutations so
-    /// memoized localities go stale correctly.
+    /// files). Re-levels the block's active readers exactly like the
+    /// other mutations.
     // lint: allow(panic-surface): node ids come from the topology the rack table was built from
     pub fn remove_disk(&mut self, b: BlockId, node: NodeId) {
         let bi = self.flat_id(b) as usize;
@@ -621,7 +585,7 @@ impl LocalityIndex {
             let rack = self.node_rack[node.index()] as usize;
             let diff = self.inv_capture(bi, rack);
             clear_bit(self.disk_row_mut(bi), node.0);
-            self.bump(bi);
+            self.global_gen += 1;
             if diff {
                 self.inv_commit(bi, rack);
             }
@@ -643,14 +607,15 @@ impl LocalityIndex {
 
     /// Task `(s, k)`'s locality level on executor `e`, computed fresh from
     /// the residency bitsets (max over locality blocks; ANY for a task
-    /// with no locality blocks). The oracle-side twin of the batched
-    /// [`Self::task_levels_in_rack`] and of `ensure_task`'s inner loop.
+    /// with no locality blocks). The per-executor twin of the batched
+    /// [`Self::task_levels_in_rack`]: it answers ad-hoc queries and is
+    /// what the oracle recomputes the folded state from.
     fn task_level_raw(&self, s: usize, k: usize, e: u32) -> u8 {
         let blocks = &self.task_blocks[s][k];
         if blocks.is_empty() {
             return L_ANY;
         }
-        let mut worst = Locality::Process.index() as u8;
+        let mut worst = L_PROCESS;
         for &bi in blocks {
             worst = worst.max(self.block_level(bi as usize, e));
             if worst == L_ANY {
@@ -674,7 +639,7 @@ impl LocalityIndex {
             out.resize((rb - ra) as usize, L_ANY);
             return;
         }
-        out.resize((rb - ra) as usize, Locality::Process.index() as u8);
+        out.resize((rb - ra) as usize, L_PROCESS);
         let (na, nb) = self.rack_node_range[rack];
         for &bi in blocks {
             let bi = bi as usize;
@@ -698,7 +663,7 @@ impl LocalityIndex {
                 };
                 for e in ea..eb {
                     let l = if get_bit(cw, e) {
-                        Locality::Process.index() as u8
+                        L_PROCESS
                     } else {
                         node_floor
                     };
@@ -709,11 +674,14 @@ impl LocalityIndex {
         }
     }
 
-    /// Fold task `(s, k)` into the inverted index as pending: compute its
-    /// levels over the candidate racks (racks holding a replica of its
-    /// first block — a superset of every rack where its level is below
-    /// ANY, since a sub-ANY level needs *all* blocks rack-resident),
-    /// update `cnt`/`scnt`/`best`/`rack_best` and the scalars.
+    /// Fold task `(s, k)` into the inverted index as pending — the one
+    /// place a task's levels are computed. One pass over the candidate
+    /// racks (racks holding a replica of its first block — a superset of
+    /// every rack where its level is below ANY, since a sub-ANY level
+    /// needs *all* blocks rack-resident) fills `cnt`/`scnt`/`best`/
+    /// `rack_best` and sets the task's bits in the stage's scan rows; then
+    /// the task's valid-level contribution mask ([`Self::contrib_mask`])
+    /// is folded into the stage's counts.
     // lint: allow(panic-surface): (s, k) is a live (stage, task) pair; every inv_* row is sized to the task universe
     fn inv_insert_task(&mut self, s: usize, k: usize) {
         debug_assert!(!self.inv_pending[s][k]);
@@ -746,24 +714,35 @@ impl LocalityIndex {
         if best == L_ANY {
             self.inv_best_any[s] += 1;
         }
+        let sm = &mut self.scans[s];
         for &(e, l) in &pairs {
             self.inv_cnt[s][l as usize * ne + e as usize] += 1;
             if l == best {
                 self.inv_scnt[s][l as usize * ne + e as usize] += 1;
             }
+            set_bit(sm.row_mut(e as usize, l), k as u32);
         }
+        let contrib = self.contrib_mask(s, k, &mut news);
+        let cm = &mut self.contribs.get_mut()[s];
+        cm.applied[k] = contrib;
+        contrib_add(&mut cm.cnt, contrib);
         self.inv_news_scratch = news;
         self.inv_pairs_scratch = pairs;
     }
 
-    /// Remove task `(s, k)`'s contributions (it left the pending set).
-    /// `rack_best` bounds the walk to racks where the task actually
-    /// contributed sub-ANY counts.
+    /// Fold task `(s, k)` out (it left the pending set): retract exactly
+    /// what [`Self::inv_insert_task`] and later diffs put in — its counts,
+    /// its scan-row bits and its folded contribution mask. `rack_best`
+    /// bounds the walk to racks where the task sits below ANY.
     // lint: allow(panic-surface): (s, k) is a live (stage, task) pair; every inv_* row is sized to the task universe
     fn inv_remove_task(&mut self, s: usize, k: usize) {
         debug_assert!(self.inv_pending[s][k]);
         self.inv_pending[s][k] = false;
         self.inv_pending_len[s] -= 1;
+        {
+            let cm = &mut self.contribs.get_mut()[s];
+            contrib_sub(&mut cm.cnt, cm.applied[k]);
+        }
         let best = self.inv_best[s][k];
         if best == L_ANY {
             // Best ANY ⟹ ANY everywhere ⟹ no per-executor contributions.
@@ -786,6 +765,7 @@ impl LocalityIndex {
                     if l == best {
                         self.inv_scnt[s][l as usize * ne + e] -= 1;
                     }
+                    clear_bit(self.scans[s].row_mut(e, l), k as u32);
                 }
             }
         }
@@ -841,8 +821,6 @@ impl LocalityIndex {
         let w = (rb - ra) as usize;
         let ne = self.num_execs as usize;
         let nr = self.rack_exec_range.len();
-        let mut sms = self.scan_memo.borrow_mut();
-        let mut cms = self.contrib_memo.borrow_mut();
         for (ri, &(s32, k32)) in readers.iter().enumerate() {
             let (s, k) = (s32 as usize, k32 as usize);
             let old = &olds[ri * w..][..w];
@@ -855,18 +833,16 @@ impl LocalityIndex {
                 if o != n {
                     changed = true;
                     let e = ra as usize + j;
+                    // Move the reader between level rows: its count and its
+                    // scan-row bit follow it.
                     if o < L_ANY {
                         self.inv_cnt[s][o as usize * ne + e] -= 1;
+                        clear_bit(self.scans[s].row_mut(e, o), k32);
                     }
                     if n < L_ANY {
                         self.inv_cnt[s][n as usize * ne + e] += 1;
+                        set_bit(self.scans[s].row_mut(e, n), k32);
                     }
-                    // Keep the persistent placement scan truthful: if
-                    // this reader was already examined (its bit sits in
-                    // the row of its pre-flip level on `e`), move it to
-                    // the new level's row. Unexamined or stale-memo
-                    // readers are a no-op.
-                    patch_scan_bits(&mut sms[s], e, k32, o, n);
                 }
             }
             if !changed {
@@ -875,10 +851,10 @@ impl LocalityIndex {
             }
             self.inv_updates.set(self.inv_updates.get() + 1);
             // The reader's valid-level contribution mask may have moved
-            // with its levels: queue it for the next fold (dedup'd).
+            // with its levels: queue it for the next query (dedup'd).
             {
-                let cm = &mut cms[s];
-                if cm.init && !cm.dirty_bit[k] {
+                let cm = &mut self.contribs.get_mut()[s];
+                if !cm.dirty_bit[k] {
                     cm.dirty_bit[k] = true;
                     cm.dirty.push(k32);
                 }
@@ -975,11 +951,12 @@ impl LocalityIndex {
     }
 
     /// Fold stage `s` into the inverted index: mark it active, count its
-    /// tasks as active readers of their blocks, and insert every task in
-    /// the authoritative `pending` set. The simulator calls this when the
-    /// stage first becomes schedulable (and again after a lineage
-    /// resubmission re-opens a released stage); placement only probes
-    /// schedulable stages, so every probed stage is active.
+    /// tasks as active readers of their blocks, allocate its scan rows and
+    /// contribution counts, and fold in every task in the authoritative
+    /// `pending` set. The simulator calls this when the stage first
+    /// becomes schedulable (and again after a lineage resubmission
+    /// re-opens a released stage); placement only probes schedulable
+    /// stages, so every probed stage is active.
     pub fn activate_stage(&mut self, s: usize, pending: &PendingSet) {
         debug_assert!(!self.inv_active[s], "stage {s} activated twice");
         debug_assert_eq!(
@@ -993,65 +970,46 @@ impl LocalityIndex {
                 self.inv_active_readers[bi as usize] += 1;
             }
         }
+        let tasks = self.task_blocks[s].len();
+        self.scans[s] = StageScan::new(self.num_execs as usize, tasks);
+        self.contribs.get_mut()[s] = ContribState::new(tasks);
         for k in pending.iter() {
             self.inv_insert_task(s, k as usize);
         }
     }
 
     /// The simulator popped task `k` of stage `s` from its pending set
-    /// (non-speculative launch). Mirrors the membership change; the
-    /// folded contribution counts subtract exactly the mask that was
-    /// folded for the task (stale-if-dirty, which is precisely what
-    /// `cnt` contains — the dirty re-fold skips popped tasks). A no-op on
-    /// an inactive stage: [`Self::activate_stage`] folds in whatever is
-    /// pending when it runs.
+    /// (non-speculative launch): fold it out. A no-op on an inactive
+    /// stage: [`Self::activate_stage`] folds in whatever is pending when
+    /// it runs.
     pub fn on_pending_removed(&mut self, s: usize, k: u32) {
         if !self.inv_active[s] {
             return;
         }
         self.inv_updates.set(self.inv_updates.get() + 1);
         self.inv_remove_task(s, k as usize);
-        let cm = &mut self.contrib_memo.get_mut()[s];
-        if cm.init {
-            contrib_sub(&mut cm.cnt, cm.applied[k as usize]);
-        }
     }
 
     /// The simulator re-inserted task `k` of stage `s` into its pending
-    /// set (failure recovery / stage resubmission). A no-op on an inactive
-    /// stage, like [`Self::on_pending_removed`].
+    /// set (failure recovery / stage resubmission): fold it back in. A
+    /// no-op on an inactive stage, like [`Self::on_pending_removed`].
     pub fn on_pending_inserted(&mut self, s: usize, k: u32) {
         if !self.inv_active[s] {
             return;
         }
         self.inv_updates.set(self.inv_updates.get() + 1);
         self.inv_insert_task(s, k as usize);
-        if self.contrib_memo.get_mut()[s].init {
-            let mut memo = self.memo.borrow_mut();
-            let c = self.ensure_task(&mut memo, s, k as usize).contrib;
-            drop(memo);
-            let cm = &mut self.contrib_memo.get_mut()[s];
-            cm.applied[k as usize] = c;
-            contrib_add(&mut cm.cnt, c);
-        }
     }
 
-    /// Fold stage `s` out of the inverted index and drop its per-stage
-    /// memos (capacity included). Called by the simulator when the stage
-    /// completes or its job is rejected. Any task still pending is
-    /// removed, so a stage released with a non-empty pending set leaves
-    /// no counts behind. The candidate bitsets alone would otherwise hold
-    /// `executors × 4 levels × tasks` bits for the stage's lifetime, which
-    /// at 2000 executors × 16k tasks is real memory. A later lineage
-    /// resubmission re-activates the stage and re-folds everything from
-    /// scratch.
+    /// Fold stage `s` out of the inverted index. Called by the simulator
+    /// when the stage completes or its job is rejected. Any task still
+    /// pending is folded out, so a stage released with a non-empty pending
+    /// set leaves no counts behind; then the scan rows and contribution
+    /// vectors are freed — the rows alone hold `executors × 3 levels ×
+    /// tasks` bits, which at 2000 executors × 16k tasks is real memory. A
+    /// later lineage resubmission re-activates the stage and re-folds
+    /// everything from scratch.
     pub fn release_stage(&mut self, s: usize) {
-        self.scan_memo.borrow_mut()[s] = StageScan::default();
-        // Free the per-task contribution vectors and locality memos too;
-        // a re-activated stage re-folds through the `init` flag, and a
-        // memo reset to stamp 0 recomputes on its next query.
-        self.contrib_memo.get_mut()[s] = ContribState::default();
-        self.memo.get_mut()[s].fill_with(TaskMemo::default);
         if !self.inv_active[s] {
             return;
         }
@@ -1061,6 +1019,8 @@ impl LocalityIndex {
                 self.inv_remove_task(s, k);
             }
         }
+        self.scans[s] = StageScan::default();
+        self.contribs.get_mut()[s] = ContribState::default();
         for blocks in &self.task_blocks[s] {
             for &bi in blocks {
                 self.inv_active_readers[bi as usize] -= 1;
@@ -1118,23 +1078,32 @@ impl LocalityIndex {
     /// From-scratch oracle for the inverted index on stage `s`: rebuild
     /// every count from the raw residency bitsets and the authoritative
     /// `pending` set, and compare against the incrementally maintained
-    /// state (including the mirror itself). An inactive stage must hold
-    /// an all-zero mirror, zero counts and empty memos, whatever `pending`
-    /// says. Either way the active-reader counts of the blocks the stage
-    /// reads must equal a recount from `task_blocks`. Debug-assert fodder for the simulator's
-    /// scheduling loop and the differential proptests.
+    /// state (including the mirror itself). The scan rows are proven exact
+    /// without a per-row walk: every pending task's bit must sit in the row
+    /// of its recomputed level on every executor, and every row's popcount
+    /// must equal the recomputed count, which leaves no room for a stray
+    /// bit. An inactive stage must hold an all-zero mirror, zero counts and
+    /// empty scan rows and contribution vectors, whatever `pending` says.
+    /// Either way the active-reader counts of the blocks the stage reads
+    /// must equal a recount from `task_blocks`. Debug-assert fodder for the
+    /// simulator's scheduling loop and the differential proptests.
     pub fn check_inv_consistency(&self, s: usize, pending: &PendingSet) -> bool {
         if !self.active_readers_consistent(s) {
             return false;
         }
+        let cms = self.contribs.borrow();
+        let cm = &cms[s];
+        let sm = &self.scans[s];
         if !self.inv_active[s] {
             return self.inv_pending_len[s] == 0
                 && self.inv_best_any[s] == 0
                 && self.inv_pending[s].iter().all(|&p| !p)
                 && self.inv_cnt[s].iter().all(|&c| c == 0)
                 && self.inv_scnt[s].iter().all(|&c| c == 0)
-                && !self.contrib_memo.borrow()[s].init
-                && self.scan_memo.borrow()[s].key.is_none();
+                && sm.bits.is_empty()
+                && cm.cnt == [0; 4]
+                && cm.applied.is_empty()
+                && cm.dirty.is_empty();
         }
         let ne = self.num_execs as usize;
         let nr = self.rack_exec_range.len();
@@ -1146,8 +1115,6 @@ impl LocalityIndex {
                 return false;
             }
         }
-        let cms = self.contrib_memo.borrow();
-        let cm = &cms[s];
         let mut applied_sum = [0u32; 4];
         let mut cnt = vec![0u32; 3 * ne];
         let mut scnt = vec![0u32; 3 * ne];
@@ -1164,22 +1131,15 @@ impl LocalityIndex {
             if best != self.inv_best[s][ku] {
                 return false;
             }
-            if cm.init {
-                // The folded counts must equal Σ applied over pending
-                // (pops subtract exactly what was applied), and any task
-                // not queued dirty must have a *current* mask applied.
-                contrib_add(&mut applied_sum, cm.applied[ku]);
-                if !cm.dirty_bit[ku] {
-                    let mut c = 0u8;
-                    for &l in levels.iter() {
-                        c |= 1 << l;
-                        if l == Locality::Process.index() as u8 {
-                            break;
-                        }
-                    }
-                    if cm.applied[ku] != c {
-                        return false;
-                    }
+            // The folded counts must equal Σ applied over pending (pops
+            // subtract exactly what was applied), and any task not queued
+            // dirty must have a *current* mask applied.
+            contrib_add(&mut applied_sum, cm.applied[ku]);
+            if !cm.dirty_bit[ku] {
+                let mut c = 0u8;
+                contrib_fold(&mut c, &levels);
+                if cm.applied[ku] != c {
+                    return false;
                 }
             }
             if best == L_ANY {
@@ -1190,6 +1150,9 @@ impl LocalityIndex {
                     cnt[l as usize * ne + e] += 1;
                     if l == best {
                         scnt[l as usize * ne + e] += 1;
+                    }
+                    if !get_bit(sm.row(e, l), k) {
+                        return false;
                     }
                 }
             }
@@ -1204,8 +1167,16 @@ impl LocalityIndex {
                 }
             }
         }
-        if cm.init && cm.cnt != applied_sum {
+        if cm.cnt != applied_sum {
             return false;
+        }
+        for l in 0..L_ANY {
+            for e in 0..ne {
+                let ones: u32 = sm.row(e, l).iter().map(|w| w.count_ones()).sum();
+                if ones != cnt[l as usize * ne + e] {
+                    return false;
+                }
+            }
         }
         cnt == self.inv_cnt[s] && scnt == self.inv_scnt[s] && best_any == self.inv_best_any[s]
     }
@@ -1323,67 +1294,23 @@ impl LocalityIndex {
         Locality::Any.index() as u8
     }
 
-    /// Ensure the task's memo is current; runs under the caller's borrow.
-    fn ensure_task<'m>(&self, memo: &'m mut [Vec<TaskMemo>], s: usize, k: usize) -> &'m TaskMemo {
-        let blocks = &self.task_blocks[s][k];
-        let stamp = 1 + blocks.iter().map(|&b| self.gen[b as usize]).sum::<u64>();
-        let m = &mut memo[s][k];
-        if m.stamp != stamp {
-            self.recomputes.set(self.recomputes.get() + 1);
-            if m.levels.is_empty() {
-                m.levels =
-                    vec![Locality::Any.index() as u8; self.num_execs as usize].into_boxed_slice();
-            }
-            let any = Locality::Any.index() as u8;
-            let process = Locality::Process.index() as u8;
-            let mut best = any;
-            let mut contrib = 0u8;
-            let mut contributing = true;
-            for e in 0..self.num_execs {
-                // No locality blocks (wide-only task) → no preference: Any.
-                let mut worst = if blocks.is_empty() {
-                    any
-                } else {
-                    Locality::Process.index() as u8
-                };
-                for &bi in blocks {
-                    worst = worst.max(self.block_level(bi as usize, e));
-                    if worst == any {
-                        break;
-                    }
-                }
-                m.levels[e as usize] = worst;
-                best = best.min(worst);
-                // The sequential valid-levels walk stops at the first
-                // PROCESS-local executor; replicate its contribution set.
-                if contributing {
-                    contrib |= 1 << worst;
-                    if worst == process {
-                        contributing = false;
-                    }
-                }
-            }
-            m.best = best;
-            m.contrib = contrib;
-            m.stamp = stamp;
-        }
-        m
-    }
-
     /// The locality level task `(s, k)` would run at on executor `e`.
     pub fn task_locality(&self, s: usize, k: u32, e: ExecId) -> Locality {
         self.queries.set(self.queries.get() + 1);
-        let mut memo = self.memo.borrow_mut();
-        let m = self.ensure_task(&mut memo, s, k as usize);
-        Locality::from_index(m.levels[e.index()] as usize)
+        Locality::from_index(self.task_level_raw(s, k as usize, e.0) as usize)
     }
 
     /// The best locality task `(s, k)` can achieve on any executor.
     pub fn task_best_level(&self, s: usize, k: u32) -> Locality {
         self.queries.set(self.queries.get() + 1);
-        let mut memo = self.memo.borrow_mut();
-        let m = self.ensure_task(&mut memo, s, k as usize);
-        Locality::from_index(m.best as usize)
+        let mut best = L_ANY;
+        for e in 0..self.num_execs {
+            best = best.min(self.task_level_raw(s, k as usize, e));
+            if best == L_PROCESS {
+                break;
+            }
+        }
+        Locality::from_index(best as usize)
     }
 
     /// Valid locality levels of stage `s` (Spark's
@@ -1394,50 +1321,27 @@ impl LocalityIndex {
     /// the result is `{l ∈ {P,N,R} : some pending task contributes l} ∪
     /// {ANY if any task is pending}` — the scan's early exits never
     /// change that set, only how fast it is found. The per-stage
-    /// contribution counts are folded once and maintained incrementally
-    /// from the pending-churn and residency-flip delta streams (see
-    /// `ContribState`).
+    /// contribution counts are folded at activation and maintained
+    /// incrementally (see `ContribState`); a query first re-diffs the
+    /// readers residency flips queued since the last one.
     pub fn valid_levels(&self, s: usize, pending: &PendingSet) -> ([Locality; 4], usize) {
         // The dirty feed comes from `inv_commit`, which sees mirrored
         // (active) readers only.
         debug_assert!(self.inv_active[s], "valid levels of inactive stage {s}");
-        let mut cms = self.contrib_memo.borrow_mut();
+        let mut cms = self.contribs.borrow_mut();
         let cm = &mut cms[s];
-        if !cm.init {
-            self.valid_rebuilds.set(self.valid_rebuilds.get() + 1);
-            self.score_misses.set(self.score_misses.get() + 1);
-            let n = self.task_blocks[s].len();
-            cm.applied.clear();
-            cm.applied.resize(n, 0);
-            cm.dirty_bit.clear();
-            cm.dirty_bit.resize(n, false);
-            cm.dirty.clear();
-            cm.cnt = [0u32; 4];
-            let mut memo = self.memo.borrow_mut();
-            for k in pending.iter() {
-                let c = self.ensure_task(&mut memo, s, k as usize).contrib;
-                cm.applied[k as usize] = c;
-                contrib_add(&mut cm.cnt, c);
-            }
-            cm.init = true;
-        } else if cm.dirty.is_empty() {
-            self.score_hits.set(self.score_hits.get() + 1);
-        } else {
-            // Re-fold exactly the readers the residency flips re-leveled
-            // since the last query. Popped dirty tasks were already
-            // subtracted at pop time; skip them.
-            self.score_misses.set(self.score_misses.get() + 1);
-            self.score_invalidations
-                .set(self.score_invalidations.get() + 1);
-            let mut memo = self.memo.borrow_mut();
+        if !cm.dirty.is_empty() {
+            // Popped dirty tasks were already subtracted at pop time; skip
+            // them.
             let mut dirty = std::mem::take(&mut cm.dirty);
+            let mut levels = Vec::new();
             for &k in &dirty {
                 let ku = k as usize;
                 cm.dirty_bit[ku] = false;
                 if !self.inv_pending[s][ku] {
                     continue;
                 }
-                let new = self.ensure_task(&mut memo, s, ku).contrib;
+                let new = self.contrib_mask(s, ku, &mut levels);
                 let old = cm.applied[ku];
                 if old != new {
                     contrib_sub(&mut cm.cnt, old);
@@ -1463,19 +1367,42 @@ impl LocalityIndex {
         (levels, len)
     }
 
+    /// Pending task `(s, k)`'s current valid-level contribution mask. It
+    /// walks racks in order, which is ascending executor-id order (ids are
+    /// rack-major, asserted in [`Self::new`]): a rack whose best level is
+    /// ANY sits at ANY throughout and contributes ANY, and the others fold
+    /// their levels up to the first PROCESS-local executor. Reads
+    /// `inv_rack_best`, so the task's entries must be current.
+    fn contrib_mask(&self, s: usize, k: usize, levels: &mut Vec<u8>) -> u8 {
+        let nr = self.rack_exec_range.len();
+        let mut mask = 0u8;
+        for r in 0..nr {
+            let (ra, rb) = self.rack_exec_range[r];
+            if self.inv_rack_best[s][k * nr + r] == L_ANY {
+                if ra < rb {
+                    mask |= 1 << L_ANY;
+                }
+                continue;
+            }
+            self.task_levels_in_rack(s, k, r, levels);
+            if contrib_fold(&mut mask, levels) {
+                break;
+            }
+        }
+        mask
+    }
+
     /// First pending task of stage `s` whose locality on `e` is
     /// exactly `level` — the placement probe behind
     /// `pending_with_locality`. With `strict`, additionally require the
     /// task's best achievable level anywhere to be no better than `level`.
     ///
-    /// Served from the stage's persistent shared scan: identical to the
-    /// sequential first-match walk, but each task is examined at most
-    /// once per *stage* for the stage's whole lifetime (one frontier
-    /// feeds every executor's candidate bitsets — see `StageScan`).
-    /// Launch pops are masked by the pending bitmap, residency flips
-    /// patch the affected bits in place, and only a pending re-insertion
-    /// (failure recovery) forces a rescan.
-    // lint: allow(panic-surface): bitset words and memo rows are sized to the stage's task universe at fill time
+    /// One word scan of one row of the stage's `StageScan`: the sub-ANY
+    /// rows hold exactly the pending tasks at that level, and the ANY
+    /// candidates are the pending tasks in none of the three. The first
+    /// set bit is the task the sequential first-match walk over the
+    /// pending set would return.
+    // lint: allow(panic-surface): row words and the pending bitmap are both sized to the stage's task universe
     pub fn scan_first(
         &self,
         s: usize,
@@ -1484,85 +1411,34 @@ impl LocalityIndex {
         strict: bool,
         pending: &PendingSet,
     ) -> Option<u32> {
-        // Residency flips patch the scan through `inv_commit`, which sees
-        // mirrored (active) readers only.
         debug_assert!(self.inv_active[s], "probe of inactive stage {s}");
         self.queries.set(self.queries.get() + 1);
-        let mut sms = self.scan_memo.borrow_mut();
-        let sm = &mut sms[s];
-        let key = pending.inserts();
-        let ne = self.num_execs as usize;
-        if sm.key != Some(key) {
-            if sm.key.is_some() {
-                self.score_invalidations
-                    .set(self.score_invalidations.get() + 1);
-            }
-            self.score_misses.set(self.score_misses.get() + 1);
-            let words = self.task_blocks[s].len().div_ceil(64);
-            sm.words = words;
-            sm.examined.clear();
-            sm.examined.resize(words, 0);
-            sm.bits.clear();
-            sm.bits.resize(ne * 4 * words, 0);
-            sm.cursor = pending.first();
-            sm.key = Some(key);
-        } else {
-            self.score_hits.set(self.score_hits.get() + 1);
-        }
-        let li = level.index();
-        let lu = li as u8;
-        let words = sm.words;
+        let sm = &self.scans[s];
+        let lu = level.index() as u8;
+        let ei = e.index();
         let pw = pending.word_bits();
-        // 1. Already-examined candidates: first set bit of `row & pending`,
-        // ascending. Popped tasks are masked out by the pending bitmap
-        // (their bits may be stale — patching tracks pending readers only);
-        // the strict filter reads the live best-anywhere level, not one
-        // captured at scan time.
-        let row = &sm.bits[(e.index() * 4 + li) * words..][..words];
-        for (w, &rw) in row.iter().enumerate() {
-            let mut cand = rw & pw[w];
+        debug_assert_eq!(pw.len(), sm.words, "pending universe vs scan rows");
+        for (w, &pend) in pw.iter().enumerate() {
+            let mut cand = if lu < L_ANY {
+                sm.row(ei, lu)[w]
+            } else {
+                pend & !(sm.row(ei, 0)[w] | sm.row(ei, 1)[w] | sm.row(ei, 2)[w])
+            };
             while cand != 0 {
                 let k = (w * 64) as u32 + cand.trailing_zeros();
                 cand &= cand - 1;
                 if strict && self.inv_best[s][k as usize] < lu {
                     continue;
                 }
-                #[cfg(debug_assertions)]
-                {
-                    let mut memo = self.memo.borrow_mut();
-                    let m = self.ensure_task(&mut memo, s, k as usize);
-                    debug_assert_eq!(
-                        m.levels[e.index()],
-                        lu,
-                        "scan bit drifted from live level (stage {s} task {k})"
-                    );
-                    debug_assert_eq!(
-                        m.best, self.inv_best[s][k as usize],
-                        "inv_best drifted from recomputation (stage {s} task {k})"
-                    );
-                }
-                return Some(k);
-            }
-        }
-        // 2. Extend the shared frontier, fanning each examined task's
-        // level out to every executor's bitsets. The cursor may point at
-        // a since-popped task: `next_after` chains through it (see
-        // `PendingSet::next_after` for why no member can be skipped while
-        // the inserts key is unchanged).
-        let mut memo = self.memo.borrow_mut();
-        while let Some(k) = sm.cursor {
-            sm.cursor = pending.next_after(k);
-            if !pending.contains(k) {
-                continue;
-            }
-            self.queries.set(self.queries.get() + 1);
-            let m = self.ensure_task(&mut memo, s, k as usize);
-            let (w, b) = ((k / 64) as usize, 1u64 << (k % 64));
-            sm.examined[w] |= b;
-            for (e2, &l2) in m.levels.iter().enumerate() {
-                sm.bits[(e2 * 4 + l2 as usize) * words + w] |= b;
-            }
-            if m.levels[e.index()] == lu && (!strict || m.best >= lu) {
+                debug_assert!(
+                    pending.contains(k),
+                    "scan row holds popped task {k} (stage {s})"
+                );
+                debug_assert_eq!(
+                    self.task_level_raw(s, k as usize, e.0),
+                    lu,
+                    "scan bit drifted from live level (stage {s} task {k})"
+                );
                 return Some(k);
             }
         }
@@ -1573,12 +1449,9 @@ impl LocalityIndex {
     pub fn stats(&self) -> IndexStats {
         IndexStats {
             locality_queries: self.queries.get(),
-            memo_recomputes: self.recomputes.get(),
-            invalidations: self.invalidations.get(),
-            valid_level_rebuilds: self.valid_rebuilds.get(),
-            score_cache_hits: self.score_hits.get(),
-            score_cache_misses: self.score_misses.get(),
-            score_cache_invalidations: self.score_invalidations.get(),
+            invalidations: self.global_gen,
+            // The activation fold is the one valid-level fold.
+            valid_level_rebuilds: self.inv_activations,
             inv_index_hits: self.inv_hits.get(),
             inv_index_updates: self.inv_updates.get(),
             // `new` is the one from-scratch build: the index starts empty
@@ -1651,7 +1524,7 @@ mod tests {
         let (_dag, topo, mut idx) = build();
         let b0 = BlockId::new(RddId(0), 0);
         let b3 = BlockId::new(RddId(0), 3);
-        // Interleave queries (fills memos) with mutations (invalidates).
+        // Interleave queries with mutations.
         for e in 0..8u32 {
             let _ = idx.task_locality(0, 0, ExecId(e));
         }
@@ -1693,10 +1566,6 @@ mod tests {
     fn remove_disk_invalidates_and_matches_brute_force() {
         let (_dag, topo, mut idx) = build();
         let b2 = BlockId::new(RddId(0), 2);
-        // Warm the memos.
-        for e in 0..8u32 {
-            let _ = idx.task_locality(0, 2, ExecId(e));
-        }
         let g0 = idx.generation();
         let node = *idx.data().disk_nodes(b2).first().unwrap();
         idx.remove_disk(b2, node);
@@ -1715,22 +1584,24 @@ mod tests {
     }
 
     #[test]
-    fn valid_levels_memo_tracks_pending() {
+    fn valid_levels_track_pending_without_refolds() {
         let (_dag, _topo, mut idx) = build();
         let mut pending = PendingSet::full(6);
         idx.activate_stage(0, &pending);
+        // The activation is the stage's one valid-level fold.
+        assert_eq!(idx.stats().valid_level_rebuilds, 1);
         let (lv, n) = idx.valid_levels(0, &pending);
         assert!(n >= 2);
         assert_eq!(lv[n - 1], Locality::Any);
-        let rebuilds0 = idx.stats().valid_level_rebuilds;
-        let _ = idx.valid_levels(0, &pending); // memo hit
-        assert_eq!(idx.stats().valid_level_rebuilds, rebuilds0);
-        // A pending pop (mirrored per the maintenance contract) adjusts
-        // the folded counts in place: no rebuild.
+        // A pending pop (mirrored per the maintenance contract) and a
+        // residency flip adjust the folded counts in place.
         pending.remove(0);
         idx.on_pending_removed(0, 0);
-        let _ = idx.valid_levels(0, &pending);
-        assert_eq!(idx.stats().valid_level_rebuilds, rebuilds0);
+        idx.add_cached(BlockId::new(RddId(0), 3), ExecId(5));
+        let (lv, n) = idx.valid_levels(0, &pending);
+        assert_eq!(lv[0], Locality::Process);
+        assert_eq!(lv[n - 1], Locality::Any);
+        assert_eq!(idx.stats().valid_level_rebuilds, 1);
         assert!(idx.check_inv_consistency(0, &pending));
     }
 
@@ -1758,15 +1629,25 @@ mod tests {
                 }
             }
         }
-        // A repeat probe is served from the stage's persistent scan.
-        let hits0 = idx.stats().score_cache_hits;
-        let first = idx.scan_first(0, ExecId(3), Locality::Process, false, &pending);
-        assert_eq!(first, Some(2));
-        assert!(idx.stats().score_cache_hits > hits0);
+        // The rows hold exactly the pending tasks at each level: task 2
+        // sits in exec 3's PROCESS row until it is popped, and moves to
+        // its NODE row when the cached copy goes.
+        let mut pending = pending;
+        let row = |idx: &LocalityIndex, l: u8| get_bit(idx.scans[0].row(3, l), 2);
+        assert!(row(&idx, L_PROCESS));
+        idx.remove_cached(BlockId::new(RddId(0), 2), ExecId(3));
+        assert!(!row(&idx, L_PROCESS));
+        let at_node = idx.task_locality(0, 2, ExecId(3)) == Locality::Node;
+        assert_eq!(row(&idx, Locality::Node as u8), at_node);
+        assert!(idx.check_inv_consistency(0, &pending));
+        pending.remove(2);
+        idx.on_pending_removed(0, 2);
+        assert!((0..L_ANY).all(|l| !row(&idx, l)));
+        assert!(idx.check_inv_consistency(0, &pending));
     }
 
-    /// Brute-force inverted-index gate counts straight from the memo-free
-    /// level recomputation.
+    /// Brute-force inverted-index gate counts straight from the raw level
+    /// recomputation.
     fn brute_counts(
         idx: &LocalityIndex,
         s: usize,
@@ -1909,6 +1790,19 @@ mod tests {
         idx.inv_cnt[0][slot] += 1; // lint: allow(mutation-escape): undo the injected drift
         assert!(idx.check_inv_consistency(0, &pending));
         idx.inv_best_any[0] += 1; // lint: allow(mutation-escape): deliberate drift injection to prove the oracle trips
+        assert!(!idx.check_inv_consistency(0, &pending));
+        idx.inv_best_any[0] -= 1; // lint: allow(mutation-escape): undo the injected drift
+        assert!(idx.check_inv_consistency(0, &pending));
+        // A stray scan-row bit (a task in a row it does not belong to) and
+        // a missing one both trip the row checks.
+        let w = idx.scans[0].bits.iter().position(|&w| w != 0).unwrap();
+        let bit = idx.scans[0].bits[w] & idx.scans[0].bits[w].wrapping_neg();
+        idx.scans[0].bits[w] &= !bit; // lint: allow(mutation-escape): deliberate drift injection to prove the oracle trips
+        assert!(!idx.check_inv_consistency(0, &pending));
+        idx.scans[0].bits[w] |= bit; // lint: allow(mutation-escape): undo the injected drift
+        assert!(idx.check_inv_consistency(0, &pending));
+        let spare = idx.scans[0].bits.iter().position(|&w| w == 0).unwrap();
+        idx.scans[0].bits[spare] |= 1; // lint: allow(mutation-escape): deliberate drift injection to prove the oracle trips
         assert!(!idx.check_inv_consistency(0, &pending));
     }
 

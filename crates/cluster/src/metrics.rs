@@ -216,26 +216,12 @@ pub struct SchedulerStats {
     pub batches_discarded: u64,
     /// Assignments dropped by those discards.
     pub assignments_discarded: u64,
-    /// Per-(task, executor) locality lookups answered by the index.
+    /// Locality lookups and placement probes answered by the index.
     pub locality_queries: u64,
-    /// Lookups that missed the memo and recomputed from block bitsets.
-    pub locality_recomputes: u64,
-    /// Block-placement mutations that invalidated memoized localities.
+    /// Block-placement mutations (each bumps the index generation).
     pub index_invalidations: u64,
-    /// Per-stage valid-locality-level ladder recomputations.
+    /// Per-stage valid-locality-level folds: one per stage activation.
     pub valid_level_rebuilds: u64,
-    /// Placement-score memo hits (per-(stage, exec) scan cursors and
-    /// valid-level contribution counts served without rescanning).
-    pub score_cache_hits: u64,
-    /// Placement-score memo misses (rescans from the pending set).
-    pub score_cache_misses: u64,
-    /// Score-memo entries discarded by generation/pending-version bumps.
-    pub score_cache_invalidations: u64,
-    /// `stage_slots` queries answered from the per-(stage, exec_gen) memo
-    /// without walking the executor list.
-    pub slot_memo_hits: u64,
-    /// `stage_slots` queries that walked the executor list.
-    pub slot_memo_misses: u64,
     /// Full from-scratch builds of the incremental ready list (O(1) per
     /// run: once at startup; schedulability flips keep it current after).
     pub ready_list_rebuilds: u64,
@@ -450,17 +436,8 @@ impl SimResult {
         r.counter("sched/batches_discarded", s.batches_discarded);
         r.counter("sched/assignments_discarded", s.assignments_discarded);
         r.counter("sched/locality_queries", s.locality_queries);
-        r.counter("sched/locality_recomputes", s.locality_recomputes);
         r.counter("sched/index_invalidations", s.index_invalidations);
         r.counter("sched/valid_level_rebuilds", s.valid_level_rebuilds);
-        r.counter("sched/score_cache_hits", s.score_cache_hits);
-        r.counter("sched/score_cache_misses", s.score_cache_misses);
-        r.counter(
-            "sched/score_cache_invalidations",
-            s.score_cache_invalidations,
-        );
-        r.counter("sched/slot_memo_hits", s.slot_memo_hits);
-        r.counter("sched/slot_memo_misses", s.slot_memo_misses);
         r.counter("sched/ready_list_rebuilds", s.ready_list_rebuilds);
         r.counter("sched/ect_heap_pops", s.ect_heap_pops);
         r.counter("sched/ect_heap_stale", s.ect_heap_stale);

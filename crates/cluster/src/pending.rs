@@ -3,14 +3,10 @@
 //! The scheduler hot path needs three operations on this set — membership
 //! (`validate`), removal (launch), and ordered iteration (placement scans)
 //! — and the old `Vec<u32>` representation made the first two O(pending).
-//! A doubly-linked list threaded through index arrays gives O(1) for all
-//! of them while preserving the exact iteration order the sequential
-//! scheduler produced (ascending task index: tasks start as `0..n` and are
-//! only ever removed).
-//!
-//! A version counter increments on every removal so memoized derived state
-//! (the [`crate::locality_index::LocalityIndex`] valid-level cache) can
-//! detect staleness without hashing the contents.
+//! A packed bitmap over the task universe gives O(1) membership, removal
+//! and insertion, and iterates in ascending task order (the order the
+//! sequential scheduler produced) by walking its words. The same words are
+//! what the placement scan ANDs against its per-level candidate rows.
 //!
 //! The inverted pending-work index keeps its own membership mirror of this
 //! set (per-stage `inv_pending` in [`crate::locality_index`]): every
@@ -21,58 +17,32 @@
 //! whether membership actually changed precisely so those call sites can
 //! mirror conditionally and never double-count.
 
-// Dense u32 task indices: `present.len()` is a per-stage task count,
+// Dense u32 task indices: the universe is a per-stage task count,
 // bounded far below u32::MAX by workload construction.
 #![allow(clippy::cast_possible_truncation)]
 
 /// Ordered set of task indices over a fixed universe `0..n`.
-// lint: incremental(next, mutators = [remove, insert, clear])
-// lint: incremental(prev, mutators = [remove, insert, clear])
-// lint: incremental(present, mutators = [remove, insert, clear])
-// lint: incremental(words, mutators = [remove, insert, clear], oracle = check_mirror)
-// lint: incremental(len, mutators = [remove, insert, clear], oracle = check_mirror)
-// lint: incremental(version, mutators = [remove, insert, clear])
-// lint: incremental(inserts, mutators = [insert, clear])
-// lint: hotpath(remove, next_member, next_after)
+// lint: incremental(words, mutators = [remove, insert, clear])
+// lint: incremental(len, mutators = [remove, insert, clear])
+// lint: hotpath(remove)
 #[derive(Clone, Debug)]
 pub struct PendingSet {
-    /// `next[i]` / `prev[i]` thread present members in ascending order;
-    /// index `n` is the sentinel position (head/tail anchor).
-    next: Vec<u32>,
-    prev: Vec<u32>,
-    present: Vec<bool>,
-    /// `present` as a packed bitmap (bit `k` of word `k / 64`), kept in
-    /// lockstep so set-algebra consumers (the placement scan's candidate
-    /// bitsets) can AND against membership a word at a time.
+    /// Bit `k % 64` of word `k / 64` is set iff task `k` is a member;
+    /// `ceil(n / 64)` words, tail bits past `n` always clear.
     words: Vec<u64>,
     len: u32,
-    version: u64,
-    inserts: u64,
 }
 
 impl PendingSet {
     /// The full universe `0..n`, all present.
     pub fn full(n: u32) -> Self {
         let nu = n as usize;
-        let mut next = Vec::with_capacity(nu + 1);
-        let mut prev = Vec::with_capacity(nu + 1);
-        for i in 0..=n {
-            next.push((i + 1) % (n + 1));
-            prev.push(if i == 0 { n } else { i - 1 });
+        let mut words = vec![!0u64; nu / 64];
+        let tail = nu % 64;
+        if tail != 0 {
+            words.push((1u64 << tail) - 1);
         }
-        let mut words = vec![0u64; nu.div_ceil(64)];
-        for k in 0..nu {
-            words[k / 64] |= 1 << (k % 64);
-        }
-        Self {
-            next,
-            prev,
-            present: vec![true; nu],
-            words,
-            len: n,
-            version: 0,
-            inserts: 0,
-        }
+        Self { words, len: n }
     }
 
     pub fn len(&self) -> usize {
@@ -84,129 +54,47 @@ impl PendingSet {
     }
 
     pub fn contains(&self, k: u32) -> bool {
-        self.present.get(k as usize).copied().unwrap_or(false)
+        self.words
+            .get((k / 64) as usize)
+            .is_some_and(|w| w >> (k % 64) & 1 == 1)
     }
 
     /// Remove `k`; returns whether it was present.
-    // lint: allow(panic-surface): `k` is a task index < n, the universe every array is sized to
+    // lint: allow(panic-surface): `contains` proved `k / 64` indexes a word
     pub fn remove(&mut self, k: u32) -> bool {
         if !self.contains(k) {
             return false;
         }
-        let (p, nx) = (self.prev[k as usize], self.next[k as usize]);
-        self.next[p as usize] = nx;
-        self.prev[nx as usize] = p;
-        self.present[k as usize] = false;
         self.words[(k / 64) as usize] &= !(1 << (k % 64));
         self.len -= 1;
-        self.version += 1;
         true
     }
 
     /// Re-insert `k` (a failed task re-offered to the scheduler, or a
     /// completed task resubmitted by lineage recovery); returns whether it
-    /// was absent. Splices `k` back so iteration order stays ascending.
+    /// was absent. `k` must lie in the universe.
     pub fn insert(&mut self, k: u32) -> bool {
         if self.contains(k) {
             return false;
         }
-        let sentinel = self.present.len() as u32;
-        // Previous present member (or the sentinel): walk backwards from k.
-        // O(n) worst case, but insertion only happens on the rare
-        // failure-recovery path, never in the scheduling hot loop.
-        let mut p = sentinel;
-        for i in (0..k).rev() {
-            if self.present[i as usize] {
-                p = i;
-                break;
-            }
-        }
-        let nx = self.next[p as usize];
-        self.next[p as usize] = k;
-        self.prev[k as usize] = p;
-        self.next[k as usize] = nx;
-        self.prev[nx as usize] = k;
-        self.present[k as usize] = true;
         self.words[(k / 64) as usize] |= 1 << (k % 64);
         self.len += 1;
-        self.version += 1;
-        self.inserts += 1;
-        debug_assert!(self.check_mirror());
         true
     }
 
     /// Remove every member (used by tests resetting fixtures).
     pub fn clear(&mut self) {
-        let n = self.present.len() as u32;
-        self.present.fill(false);
         self.words.fill(0);
-        self.next[n as usize] = n;
-        self.prev[n as usize] = n;
         self.len = 0;
-        self.version += 1;
-        // Membership was reshaped wholesale: scans resumed from stale
-        // cursors would be unsound, so count it as an insertion event.
-        self.inserts += 1;
-        debug_assert!(self.check_mirror());
-    }
-
-    /// Smallest member, if any.
-    pub fn first(&self) -> Option<u32> {
-        let sentinel = self.present.len() as u32;
-        let k = self.next[sentinel as usize];
-        (k != sentinel).then_some(k)
-    }
-
-    /// The member after `k` (which must be present) in ascending order.
-    /// O(1): this is what lets a scan over the set pause and resume at a
-    /// cursor as long as the version is unchanged.
-    // lint: allow(panic-surface): `k` is a member, so < n; the link arrays carry n + 1 entries
-    pub fn next_member(&self, k: u32) -> Option<u32> {
-        debug_assert!(self.contains(k));
-        let sentinel = self.present.len() as u32;
-        let nx = self.next[k as usize];
-        (nx != sentinel).then_some(nx)
     }
 
     /// Members in ascending order.
     pub fn iter(&self) -> PendingIter<'_> {
-        let sentinel = self.present.len() as u32;
         PendingIter {
-            set: self,
-            cur: self.next[sentinel as usize],
-            sentinel,
+            words: &self.words,
+            w: 0,
+            cur: self.words.first().copied().unwrap_or(0),
         }
-    }
-
-    /// The member after `k` in ascending order, where `k` may itself have
-    /// been **removed** since it was last a member. Removal leaves the
-    /// removed index's own links untouched (only its neighbors are
-    /// rewired), so `next[k]` still names `k`'s successor at the moment
-    /// of removal — every member between the two would have had to be
-    /// *inserted* after that moment. Callers resuming a scan from a
-    /// possibly-stale cursor must therefore key on [`Self::inserts`]
-    /// (chains only skip members across insertions, never removals) and
-    /// filter the returned index with [`Self::contains`].
-    // lint: allow(panic-surface): `k` was once a member, so < n; removal never shrinks the link arrays
-    pub fn next_after(&self, k: u32) -> Option<u32> {
-        let sentinel = self.present.len() as u32;
-        let nx = self.next[k as usize];
-        (nx != sentinel).then_some(nx)
-    }
-
-    /// Monotone counter bumped on every mutation; lets caches key on
-    /// "same pending contents" without comparing them.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Monotone counter bumped only on [`Self::insert`] (and
-    /// [`Self::clear`]). Scans that tolerate removals — skipping absent
-    /// members via [`Self::contains`] and resuming through
-    /// [`Self::next_after`] — stay valid while this is unchanged, which
-    /// is what lets the placement scan memos survive launch pops.
-    pub fn inserts(&self) -> u64 {
-        self.inserts
     }
 
     /// Membership as a packed bitmap: bit `k % 64` of word `k / 64` is
@@ -214,40 +102,27 @@ impl PendingSet {
     pub fn word_bits(&self) -> &[u64] {
         &self.words
     }
-
-    /// From-scratch oracle: the packed `words` bitmap and `len` both match
-    /// the authoritative `present` flags. Debug-asserted on the mutations
-    /// that reshape membership (`insert`/`clear`; `remove` is the per-launch
-    /// hot path and is covered transitively by the inverted-index
-    /// cross-check at every scheduling opportunity).
-    pub fn check_mirror(&self) -> bool {
-        let mut words = vec![0u64; self.present.len().div_ceil(64)];
-        let mut n = 0u32;
-        for (k, &p) in self.present.iter().enumerate() {
-            if p {
-                words[k / 64] |= 1 << (k % 64);
-                n += 1;
-            }
-        }
-        words == self.words && n == self.len
-    }
 }
 
+/// Ascending walk over a [`PendingSet`]'s words.
 pub struct PendingIter<'a> {
-    set: &'a PendingSet,
-    cur: u32,
-    sentinel: u32,
+    words: &'a [u64],
+    /// Index of the word `cur` was loaded from.
+    w: usize,
+    /// Members of word `w` not yet returned.
+    cur: u64,
 }
 
 impl Iterator for PendingIter<'_> {
     type Item = u32;
 
     fn next(&mut self) -> Option<u32> {
-        if self.cur == self.sentinel {
-            return None;
+        while self.cur == 0 {
+            self.w += 1;
+            self.cur = *self.words.get(self.w)?;
         }
-        let k = self.cur;
-        self.cur = self.set.next[k as usize];
+        let k = (self.w * 64) as u32 + self.cur.trailing_zeros();
+        self.cur &= self.cur - 1;
         Some(k)
     }
 }
@@ -266,13 +141,11 @@ mod tests {
     }
 
     #[test]
-    fn removal_is_order_preserving_and_versioned() {
+    fn removal_is_order_preserving() {
         let mut s = PendingSet::full(5);
-        let v0 = s.version();
         assert!(s.remove(2));
         assert!(!s.remove(2));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 3, 4]);
-        assert!(s.version() > v0);
         assert!(s.remove(0));
         assert!(s.remove(4));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 3]);
@@ -300,10 +173,8 @@ mod tests {
             assert!(s.remove(k));
         }
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 4]);
-        let v0 = s.version();
         assert!(s.insert(3));
         assert!(!s.insert(3)); // already present
-        assert!(s.version() > v0);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 3, 4]);
         assert!(s.insert(0));
         assert!(s.insert(5));
@@ -326,9 +197,42 @@ mod tests {
     }
 
     #[test]
+    fn universes_off_the_word_boundary() {
+        // 65: one full word plus a one-bit tail word.
+        let mut s = PendingSet::full(65);
+        assert_eq!(s.len(), 65);
+        assert_eq!(s.word_bits(), &[!0u64, 1]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), (0..65).collect::<Vec<_>>());
+        assert!(s.contains(64));
+        assert!(!s.contains(65));
+        assert!(!s.contains(128));
+        assert!(s.remove(64));
+        assert!(!s.contains(64));
+        assert_eq!(s.iter().last(), Some(63));
+        assert!(s.remove(0));
+        assert!(s.insert(64));
+        assert_eq!(s.iter().next(), Some(1));
+        assert_eq!(s.iter().last(), Some(64));
+        assert_eq!(s.len(), 64);
+        // 128: exactly two full words, no tail word.
+        let mut s = PendingSet::full(128);
+        assert_eq!(s.word_bits(), &[!0u64, !0u64]);
+        assert_eq!(s.iter().count(), 128);
+        assert!(!s.contains(128));
+        for k in 0..127 {
+            assert!(s.remove(k));
+        }
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![127]);
+        assert!(s.insert(64));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![64, 127]);
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
     fn empty_universe() {
         let s = PendingSet::full(0);
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
+        assert!(!s.contains(0));
     }
 }

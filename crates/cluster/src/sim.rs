@@ -33,7 +33,7 @@ use crate::pending::PendingSet;
 use crate::refprofile::RefProfile;
 use crate::scheduler::{Assignment, Scheduler};
 use crate::topology::{ExecId, Topology};
-use crate::view::{ClusterView, SimView, SlotMemo, StageRuntime, TaskView};
+use crate::view::{ClusterView, SimView, StageRuntime, TaskView};
 
 /// Hard ceiling on simulated time; reaching it means the configuration can
 /// never finish (e.g. a task demand exceeding every executor's capacity).
@@ -148,8 +148,6 @@ pub struct Simulation {
     /// crash destroyed. Drained between `schedule` calls; only populated
     /// when faults are enabled.
     lost_pending: Vec<BlockId>,
-    /// Run-lifetime `stage_slots` memo handed to every [`SimView`].
-    slot_memo: SlotMemo,
     /// Reused `prefetch_scan` candidate buffer (the per-exec-per-tick
     /// collect was a measured allocation hot spot).
     prefetch_buf: Vec<BlockId>,
@@ -254,7 +252,6 @@ impl Simulation {
         }
         let faults = FaultRuntime::new(cfg.faults.clone(), n_exec);
         let narrow_mb = crate::view::narrow_input_table(&dag);
-        let slot_memo = SlotMemo::new(dag.num_stages());
         let mut cview = ClusterView::new(n_exec, cfg.exec_capacity);
         cview.init_ready_list(
             stages
@@ -296,7 +293,6 @@ impl Simulation {
             outputs_by_exec: vec![Vec::new(); n_exec],
             lost_pending: Vec::new(),
             producer_of_rdd,
-            slot_memo,
             prefetch_buf: Vec::new(),
             prefetch_node_buf: Vec::new(),
             maint_dirty: true,
@@ -472,16 +468,10 @@ impl Simulation {
         self.metrics.cache.resident_end = self.bms.iter().map(|bm| bm.num_resident() as u64).sum();
         let is = self.data.stats();
         self.metrics.sched.locality_queries = is.locality_queries;
-        self.metrics.sched.locality_recomputes = is.memo_recomputes;
         self.metrics.sched.index_invalidations = is.invalidations;
         self.metrics.sched.valid_level_rebuilds = is.valid_level_rebuilds;
         self.metrics.sched.view_rebuilds = self.cview.rebuilds();
         self.metrics.sched.view_deltas = self.cview.deltas_applied();
-        self.metrics.sched.score_cache_hits = is.score_cache_hits;
-        self.metrics.sched.score_cache_misses = is.score_cache_misses;
-        self.metrics.sched.score_cache_invalidations = is.score_cache_invalidations;
-        self.metrics.sched.slot_memo_hits = self.slot_memo.hits();
-        self.metrics.sched.slot_memo_misses = self.slot_memo.misses();
         self.metrics.sched.ready_list_rebuilds = self.cview.ready_list_rebuilds();
         self.metrics.sched.ect_heap_pops = self.cview.ect_heap_pops();
         self.metrics.sched.ect_heap_stale = self.cview.ect_heap_stale();
@@ -679,10 +669,10 @@ impl Simulation {
                     metrics: &self.metrics,
                     narrow_mb: &self.narrow_mb,
                     exec_gen: self.cview.exec_gen(),
-                    cap_gen: self.cview.cap_gen(),
+                    usable_execs: self.cview.usable_execs(),
+                    exec_capacity: self.cfg.exec_capacity,
                     ready: self.cview.ready_stages(),
                     free_execs: self.cview.free_execs(),
-                    slot_memo: &self.slot_memo,
                     tenant_cores: self.jobs.as_ref().map_or(&[], |j| j.tenant_cores()),
                     tenant_of_stage: self.jobs.as_ref().map_or(&[], |j| j.stage_tenants()),
                 };
@@ -1184,7 +1174,7 @@ impl Simulation {
         sync_ready(&mut self.cview, &mut self.data, &self.stages, s.index());
         self.metrics.per_stage[s.index()].completed_at = Some(self.now);
         self.completed_count += 1;
-        // Fold the stage out of the inverted index and free its memos:
+        // Fold the stage out of the inverted index and free its scan rows:
         // nothing probes a completed stage, and a lineage resubmission
         // re-activates it through `sync_ready`.
         self.data.release_stage(s.index());
@@ -1968,15 +1958,11 @@ impl Simulation {
         for e in 0..n {
             let exec = ExecId(e as u32);
             let mut count = 0u32;
-            for s in self.dag.stage_ids() {
-                let srt = &self.stages[s.index()];
-                if !srt.ready || srt.completed {
-                    continue;
-                }
-                for k in srt.pending.iter() {
-                    if self.locality_of(s, k, exec) == Locality::Node {
-                        count += 1;
-                    }
+            for (si, srt) in self.stages.iter().enumerate() {
+                // Ready, not completed, pending work: schedulable, hence
+                // folded into the inverted index, whose count is exact.
+                if srt.ready && !srt.completed && !srt.pending.is_empty() {
+                    count += self.data.pending_level_count(si, exec, Locality::Node);
                 }
             }
             self.metrics.exec_traces[e]

@@ -3,8 +3,9 @@
 //! ready TaskSets, pending tasks and their locality per executor, free
 //! executor resources, and per-stage runtime statistics.
 //!
-//! Locality questions are answered by the [`LocalityIndex`] (memoized,
-//! generation-invalidated) instead of rescanning the block registry.
+//! Locality questions are answered by the [`LocalityIndex`] (residency
+//! bitsets plus the inverted pending-work index) instead of rescanning the
+//! block registry.
 
 // ExecId/StageId mints from bounded enumerations; dagon-lint rule D5
 // (narrow-cast) independently guards tick/size narrowing in this crate.
@@ -37,9 +38,7 @@ pub struct ExecView {
 /// sim events (task launch/finish/fail, executor crash/restart/blacklist)
 /// instead of being rebuilt from the simulator's ledgers on every
 /// scheduling opportunity. Policies read the effective [`ExecView`] slice
-/// without cloning; an `exec_gen` generation counter stamps every change
-/// so derived caches (stage slot capacities, placement-score memos) can
-/// key their validity on it.
+/// without cloning; an `exec_gen` generation counter stamps every change.
 ///
 /// Two ledgers are kept per executor: `real_free`, the authoritative
 /// resource accounting that keeps absorbing releases even while the
@@ -49,6 +48,7 @@ pub struct ExecView {
 // lint: incremental(execs, mutators = [apply], oracle = check_consistency)
 // lint: incremental(real_free, mutators = [apply], oracle = check_consistency)
 // lint: incremental(usable, mutators = [apply], oracle = check_consistency)
+// lint: incremental(usable_execs, mutators = [apply], oracle = check_consistency)
 // lint: incremental(ready_list, mutators = [init_ready_list, set_stage_schedulable], oracle = check_ready_consistency)
 // lint: incremental(stage_on, mutators = [init_ready_list, set_stage_schedulable], oracle = check_ready_consistency)
 // lint: incremental(free_heap, mutators = [apply, compact_free_execs], oracle = check_free_consistency)
@@ -69,11 +69,10 @@ pub struct ClusterView {
     deltas: u64,
     /// Full from-scratch (re)builds — O(1) per run by design.
     rebuilds: u64,
-    /// Capacity-only generation: bumped only when some executor's
-    /// *capacity* changes (`ExecDown`/`ExecUp`). `stage_slots` depends
-    /// only on capacities, so the [`SlotMemo`] keys on this instead of
-    /// `exec_gen` and survives all consume/release traffic.
-    cap_gen: u64,
+    /// Executors whose `usable` flag is set. Capacity is homogeneous and
+    /// a down executor's is zero, so this count times one executor's
+    /// per-stage slots is the cluster's slot capacity.
+    usable_execs: u32,
     /// Incrementally maintained schedulable-stage ids (ascending),
     /// mirrored by the membership flags in `stage_on`. Installed once by
     /// [`Self::init_ready_list`]; kept current by
@@ -129,7 +128,7 @@ impl ClusterView {
             exec_gen: 0,
             deltas: 0,
             rebuilds: 1,
-            cap_gen: 0,
+            usable_execs: n_exec as u32,
             ready_list: Vec::new(),
             stage_on: Vec::new(),
             ready_rebuilds: 0,
@@ -181,17 +180,21 @@ impl ClusterView {
             }
             ViewDelta::ExecDown { exec } => {
                 let i = exec.index();
+                if self.usable[i] {
+                    self.usable_execs -= 1;
+                }
                 self.usable[i] = false;
                 self.execs[i].free = Resources::ZERO;
                 self.execs[i].capacity = Resources::ZERO;
-                self.cap_gen += 1;
             }
             ViewDelta::ExecUp { exec } => {
                 let i = exec.index();
+                if !self.usable[i] {
+                    self.usable_execs += 1;
+                }
                 self.usable[i] = true;
                 self.execs[i].free = self.real_free[i];
                 self.execs[i].capacity = self.capacity;
-                self.cap_gen += 1;
             }
         }
         let now_free = self.execs[idx].free.cpus > 0;
@@ -261,14 +264,16 @@ impl ClusterView {
             .collect()
     }
 
-    /// Debug-build invariant: incremental == from-scratch.
+    /// Debug-build invariant: incremental == from-scratch, and the
+    /// usable count matches the flags.
     pub fn check_consistency(&self) -> bool {
         self.execs == self.rebuilt_execs()
+            && self.usable_execs as usize == self.usable.iter().filter(|&&u| u).count()
     }
 
-    /// Capacity-only generation stamp (see the `cap_gen` field).
-    pub fn cap_gen(&self) -> u64 {
-        self.cap_gen
+    /// Executors currently usable (not crashed or blacklisted).
+    pub fn usable_execs(&self) -> u32 {
+        self.usable_execs
     }
 
     // --- incremental ready list ---------------------------------------
@@ -423,63 +428,6 @@ pub struct TaskView {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScheduleShadow;
 
-/// Run-lifetime memo for [`SimView::stage_slots`], keyed on the view's
-/// *capacity* generation stamp (`cap_gen`). SensitivityAware consults the
-/// stage slot capacity (inside `earliest_completion_ms`) for every
-/// candidate pick; the answer depends only on executor capacities, which
-/// change only on `ExecDown`/`ExecUp`, so the walk over all executors
-/// happens once per stage per capacity change — consume/release traffic
-/// never invalidates it.
-/// Interior-mutable (`Cell`s) because `SimView` hands out shared borrows.
-#[derive(Debug, Default)]
-pub struct SlotMemo {
-    /// Per stage: `(cap_gen + 1, slots)`; 0 marks an empty entry.
-    entries: std::cell::RefCell<Vec<(u64, u32)>>,
-    hits: std::cell::Cell<u64>,
-    misses: std::cell::Cell<u64>,
-}
-
-impl SlotMemo {
-    pub fn new(num_stages: usize) -> Self {
-        Self {
-            entries: std::cell::RefCell::new(vec![(0, 0); num_stages]),
-            hits: std::cell::Cell::new(0),
-            misses: std::cell::Cell::new(0),
-        }
-    }
-
-    fn lookup(&self, stage: usize, gen: u64) -> Option<u32> {
-        let e = self.entries.borrow();
-        match e.get(stage) {
-            Some(&(stamp, slots)) if stamp == gen + 1 => {
-                self.hits.set(self.hits.get() + 1);
-                Some(slots)
-            }
-            _ => {
-                self.misses.set(self.misses.get() + 1);
-                None
-            }
-        }
-    }
-
-    fn store(&self, stage: usize, gen: u64, slots: u32) {
-        let mut e = self.entries.borrow_mut();
-        if stage < e.len() {
-            e[stage] = (gen + 1, slots);
-        }
-    }
-
-    /// Queries answered from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Queries that had to walk the executor list.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-}
-
 /// The scheduler's window into the simulation. Construct-by-borrow: cheap,
 /// created fresh for every `schedule` call.
 pub struct SimView<'a> {
@@ -500,10 +448,11 @@ pub struct SimView<'a> {
     /// Generation stamp of the [`ClusterView`] behind `execs`: changes iff
     /// any executor's effective view may have changed.
     pub exec_gen: u64,
-    /// Capacity-only generation stamp (bumps on `ExecDown`/`ExecUp`),
-    /// keying the [`SlotMemo`]: `stage_slots` is constant within one
-    /// capacity generation.
-    pub cap_gen: u64,
+    /// Usable executors (the [`ClusterView`]'s count): each offers
+    /// `exec_capacity`, the rest offer nothing.
+    pub usable_execs: u32,
+    /// Capacity of one usable executor (homogeneous across the cluster).
+    pub exec_capacity: Resources,
     /// Schedulable stage ids, ascending — the [`ClusterView`]'s
     /// incrementally maintained ready list.
     pub ready: &'a [u32],
@@ -511,8 +460,6 @@ pub struct SimView<'a> {
     /// [`ClusterView`]'s lazy free-executor heap at the top of this
     /// scheduling round.
     pub free_execs: &'a [u32],
-    /// Run-lifetime `stage_slots` memo (see [`SlotMemo`]).
-    pub slot_memo: &'a SlotMemo,
     /// Per-tenant vCPUs currently consumed by running attempts — the
     /// hierarchical fair-share signal. Empty outside online multi-tenant
     /// mode (no [`crate::jobs::JobsRuntime`] installed).
@@ -645,21 +592,13 @@ impl<'a> SimView<'a> {
         (ptn / tp).ceil() * td
     }
 
-    /// Cluster-wide concurrent-task capacity for stage `s`'s demand.
-    /// Memoized per `(stage, cap_gen)`: the executor walk only runs on
-    /// the first query after a *capacity* change (`ExecDown`/`ExecUp`).
+    /// Cluster-wide concurrent-task capacity for stage `s`'s demand:
+    /// usable executors × one executor's slots. Exact, because capacity is
+    /// homogeneous and a down executor's capacity is zero.
     pub fn stage_slots(&self, s: StageId) -> u32 {
-        if let Some(slots) = self.slot_memo.lookup(s.index(), self.cap_gen) {
-            return slots;
-        }
         let demand = self.dag.stage(s).demand;
-        let slots = self
-            .execs
-            .iter()
-            .map(|e| e.capacity.capacity_for(demand))
-            .sum();
-        self.slot_memo.store(s.index(), self.cap_gen, slots);
-        slots
+        self.usable_execs
+            .saturating_mul(self.exec_capacity.capacity_for(demand))
     }
 
     /// Total MiB of narrow input one task of `s` reads (its locality
@@ -691,7 +630,6 @@ mod tests {
         metrics: Metrics,
         cost: CostModel,
         narrow_mb: Vec<f64>,
-        slot_memo: SlotMemo,
         ready: Vec<u32>,
         free_execs: Vec<u32>,
     }
@@ -740,7 +678,6 @@ mod tests {
         Fixture {
             metrics: Metrics::new(dag.num_stages(), 4, false),
             narrow_mb: narrow_input_table(&dag),
-            slot_memo: SlotMemo::new(dag.num_stages()),
             dag,
             topo,
             index,
@@ -767,10 +704,10 @@ mod tests {
             metrics: &f.metrics,
             narrow_mb: &f.narrow_mb,
             exec_gen: 0,
-            cap_gen: 0,
+            usable_execs: 4,
+            exec_capacity: dagon_dag::Resources::new(4, 8192),
             ready: &f.ready,
             free_execs: &f.free_execs,
-            slot_memo: &f.slot_memo,
             tenant_cores: &[],
             tenant_of_stage: &[],
         }
@@ -847,27 +784,6 @@ mod tests {
         let ect = v.earliest_completion_ms(StageId(0), 1000.0);
         assert_eq!(ect, 1000.0);
         assert_eq!(v.narrow_input_mb(StageId(0)), 64.0);
-    }
-
-    #[test]
-    fn stage_slots_memo_hits_within_a_generation() {
-        let f = fixture();
-        let v = view(&f);
-        let first = v.stage_slots(StageId(0));
-        let second = v.stage_slots(StageId(0));
-        assert_eq!(first, second);
-        assert_eq!(f.slot_memo.misses(), 1, "one cold walk");
-        assert_eq!(f.slot_memo.hits(), 1, "second query memoized");
-        // Consume/release traffic (exec_gen) does NOT invalidate; only a
-        // capacity generation does.
-        let mut v2 = view(&f);
-        v2.exec_gen = 7;
-        assert_eq!(v2.stage_slots(StageId(0)), first);
-        assert_eq!(f.slot_memo.hits(), 2);
-        let mut v3 = view(&f);
-        v3.cap_gen = 1;
-        assert_eq!(v3.stage_slots(StageId(0)), first);
-        assert_eq!(f.slot_memo.misses(), 2);
     }
 
     #[test]
@@ -967,24 +883,42 @@ mod tests {
     }
 
     #[test]
-    fn cap_gen_bumps_only_on_capacity_changes() {
-        let cap = dagon_dag::Resources::new(2, 4096);
-        let demand = dagon_dag::Resources::new(1, 1024);
-        let mut cv = ClusterView::new(2, cap);
-        assert_eq!(cv.cap_gen(), 0);
+    fn stage_slots_drop_on_exec_down_and_return_on_exec_up() {
+        let f = fixture();
+        let cap = dagon_dag::Resources::new(4, 8192);
+        let mut cv = ClusterView::new(4, cap);
+        let slots = |cv: &ClusterView| {
+            SimView {
+                execs: cv.execs(),
+                usable_execs: cv.usable_execs(),
+                exec_capacity: cap,
+                ..view(&f)
+            }
+            .stage_slots(StageId(0))
+        };
+        // Demand 2 cpus: 4 executors × 2 slots.
+        assert_eq!(slots(&cv), 8);
+        // Consume/release traffic leaves the capacity alone.
         cv.apply(ViewDelta::Consume {
             exec: ExecId(0),
-            demand,
+            demand: dagon_dag::Resources::new(2, 1024),
         });
-        cv.apply(ViewDelta::Release {
-            exec: ExecId(0),
-            demand,
-        });
-        assert_eq!(cv.cap_gen(), 0, "consume/release must not bump cap_gen");
+        assert_eq!(slots(&cv), 8);
         cv.apply(ViewDelta::ExecDown { exec: ExecId(1) });
-        assert_eq!(cv.cap_gen(), 1);
+        assert_eq!(slots(&cv), 6);
+        // A repeated down (crash of a blacklisted executor) changes nothing.
+        cv.apply(ViewDelta::ExecDown { exec: ExecId(1) });
+        assert_eq!(slots(&cv), 6);
+        assert!(cv.check_consistency());
         cv.apply(ViewDelta::ExecUp { exec: ExecId(1) });
-        assert_eq!(cv.cap_gen(), 2);
-        assert_eq!(cv.exec_gen(), 4);
+        assert_eq!(slots(&cv), 8);
+        assert!(cv.check_consistency());
+        // The count is what a walk over the effective capacities finds.
+        let walked: u32 = cv
+            .execs()
+            .iter()
+            .map(|e| e.capacity.capacity_for(dagon_dag::Resources::new(2, 1024)))
+            .sum();
+        assert_eq!(walked, 8);
     }
 }

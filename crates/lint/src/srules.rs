@@ -2,8 +2,8 @@
 //!
 //! The scheduler's speed comes from incrementally-maintained mirrors of
 //! simulator state (`ClusterView` ledgers, the inverted pending-work
-//! index, `StageScan`/`ContribState` memos). Their correctness contract —
-//! *every mutation flows through a designated mutator, every mutator
+//! index, `StageScan` rows, `ContribState` counts). Their correctness
+//! contract — *every mutation flows through a designated mutator, every mutator
 //! emits its deltas, every mirror has a from-scratch rebuild oracle
 //! exercised in debug builds* — was previously enforced only dynamically.
 //! These rules make it static, driven by in-source registrations

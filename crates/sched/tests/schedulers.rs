@@ -237,7 +237,6 @@ struct PlacementFixture {
     tasks: Vec<Vec<dagon_cluster::TaskView>>,
     metrics: dagon_cluster::Metrics,
     narrow_mb: Vec<f64>,
-    slot_memo: dagon_cluster::SlotMemo,
     ready: Vec<u32>,
     free_execs: Vec<u32>,
 }
@@ -293,7 +292,6 @@ impl PlacementFixture {
         Self {
             metrics: dagon_cluster::Metrics::new(dag.num_stages(), 4, false),
             narrow_mb: dagon_cluster::view::narrow_input_table(&dag),
-            slot_memo: dagon_cluster::SlotMemo::new(dag.num_stages()),
             cost: dagon_cluster::CostModel::default(),
             execs: (0..4)
                 .map(|i| ExecView {
@@ -338,10 +336,10 @@ impl PlacementFixture {
             metrics: &self.metrics,
             narrow_mb: &self.narrow_mb,
             exec_gen: 0,
-            cap_gen: 0,
+            usable_execs: 4,
+            exec_capacity: dagon_dag::Resources::new(4, 8192),
             ready: &self.ready,
             free_execs: &self.free_execs,
-            slot_memo: &self.slot_memo,
             tenant_cores: &[],
             tenant_of_stage: &[],
         }

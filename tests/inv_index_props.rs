@@ -286,10 +286,10 @@ proptest! {
     /// [`LocalityIndex::scan_first`] returns exactly the brute-force first
     /// pending task at that level — and the count gates agree with it
     /// (zero ⟺ empty probe). Probing *inside* the history is the point:
-    /// the persistent scan memos get populated, then patched by residency
-    /// flips, filtered across pops, reset by re-inserts, and dropped and
-    /// rebuilt across release/re-activation, and must stay bit-equal to a
-    /// fresh scan throughout.
+    /// the scan rows are filled at activation, patched by residency flips,
+    /// cleared by pops, refilled by re-inserts, and dropped and rebuilt
+    /// across release/re-activation, and must stay bit-equal to a fresh
+    /// scan throughout.
     #[test]
     fn scan_first_matches_fresh_scan_through_history(
         steps in proptest::collection::vec(step_strategy(), 0..80),

@@ -237,3 +237,18 @@ fn sensitivity_on_kmeans_recovers_most_of_disabled_delay() {
         delay.result.jct
     );
 }
+
+/// Fig. 4's executor traces at quick scale, pinned: which executors come
+/// out starved (A) and busy (B), how many samples each trace holds, and the
+/// total node-local pending backlog each one saw.
+#[test]
+// The samples are task counts stored as f64: their sums are exact.
+#[allow(clippy::float_cmp)]
+fn fig4_exec_traces_are_pinned() {
+    let t = experiments::fig4(&ExpConfig::quick());
+    assert_eq!((t.exec_a, t.exec_b), (3, 5));
+    assert_eq!((t.pending_a.len(), t.pending_b.len()), (325, 325));
+    let total = |ps: &[dagon_cluster::TimePoint]| ps.iter().map(|p| p.v).sum::<f64>();
+    assert_eq!(total(&t.pending_a), 1100.0);
+    assert_eq!(total(&t.pending_b), 926.0);
+}

@@ -84,10 +84,10 @@ proptest! {
         check_cache_accounting(seed, policy_idx);
     }
 
-    /// The incremental [`LocalityIndex`] must agree with brute-force
-    /// recomputation from the raw block registry under arbitrary
-    /// interleavings of cache inserts, evictions, disk adds, and queries
-    /// (queries fill memos; mutations must invalidate them).
+    /// The [`LocalityIndex`]'s bitset levels (`task_locality`,
+    /// `task_best_level`) must agree with brute-force recomputation from
+    /// the raw block registry under arbitrary interleavings of cache
+    /// inserts, evictions, disk adds, and queries.
     #[test]
     fn locality_index_matches_brute_force(
         ops in proptest::collection::vec((0u8..3u8, 0u32..24u32, 0u32..8u32), 0..80),
@@ -111,7 +111,7 @@ proptest! {
         let mut idx = LocalityIndex::new(&dag, &topo, data, &tv);
         for &(op, part, e) in &ops {
             let block = BlockId::new(RddId(0), part);
-            // Query first so mutations hit warm (stale) memos.
+            // Interleave queries with the mutations.
             let _ = idx.task_locality(0, part, ExecId(e));
             match op {
                 0 => idx.add_cached(block, ExecId(e)),
