@@ -331,6 +331,9 @@ fn main() {
              \"inv_index_rebuilds\": {}, \"inv_stage_activations\": {}, \
              \"inv_flip_diffs\": {}, \
              \"ticks\": {}, \"maint_passes\": {}, \
+             \"prefetch_node_filters\": {}, \"prefetch_pool_visits\": {}, \
+             \"spec_primary_visits\": {}, \"spec_oversubscriptions\": {}, \
+             \"ledger_over_capacity\": {}, \
              \"exec_crashes\": {}, \"tasks_recomputed\": {}, \
              \"stage_resubmissions\": {}, \"task_failures\": {}",
             r.name,
@@ -357,6 +360,11 @@ fn main() {
             s.inv_flip_diffs,
             r.cache.ticks,
             r.cache.maint_passes,
+            r.cache.prefetch_node_filters,
+            r.cache.prefetch_pool_visits,
+            s.spec_primary_visits,
+            s.spec_oversubscriptions,
+            s.ledger_over_capacity,
             r.faults.exec_crashes,
             r.faults.tasks_recomputed,
             r.faults.stage_resubmissions,

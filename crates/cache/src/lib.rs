@@ -124,6 +124,63 @@ mod tests {
         (victims, first)
     }
 
+    /// Rank every Fig. 1 block (stage 0 done) with one policy instance,
+    /// in DAG order, reversed, and rotated by a third, and assert the
+    /// three rankings are identical. The simulator appends a block a
+    /// lineage resubmission revives to the end of its node's candidate
+    /// pool instead of restoring materialisation order, so a ranking must
+    /// not depend on input order. Blocks of one RDD tie on every policy
+    /// key here, so only the tie-break separates them. Returns the
+    /// ranking.
+    fn order_ignores_input_order(kind: PolicyKind) -> Vec<BlockId> {
+        let dag = fig1();
+        let tracker = PriorityTracker::from_dag(&dag);
+        let mut profile = RefProfile::default();
+        profile.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+        let done = |s: StageId| s == StageId(0);
+        profile.rebuild(&dag, &|s, _| done(s), &done);
+        let blocks: Vec<BlockId> = dag.rdds().iter().flat_map(|r| r.blocks()).collect();
+        let mut reversed = blocks.clone();
+        reversed.reverse();
+        let mut rotated = blocks.clone();
+        rotated.rotate_left(blocks.len() / 3);
+
+        let mut policy = kind.build();
+        let mut first = Vec::new();
+        policy.prefetch_order(&blocks, &profile, &mut first);
+        for perm in [&reversed, &rotated] {
+            let mut out = Vec::new();
+            policy.prefetch_order(perm, &profile, &mut out);
+            assert_eq!(out, first, "{kind}: prefetch_order depends on input order");
+        }
+        first
+    }
+
+    #[test]
+    fn lru_prefetch_order_ignores_input_order() {
+        assert!(order_ignores_input_order(PolicyKind::Lru).is_empty());
+    }
+
+    #[test]
+    fn lrc_prefetch_order_ignores_input_order() {
+        assert!(order_ignores_input_order(PolicyKind::Lrc).is_empty());
+    }
+
+    #[test]
+    fn mrd_prefetch_order_ignores_input_order() {
+        assert!(order_ignores_input_order(PolicyKind::Mrd).len() > 1);
+    }
+
+    #[test]
+    fn lrp_prefetch_order_ignores_input_order() {
+        assert!(order_ignores_input_order(PolicyKind::Lrp).len() > 1);
+    }
+
+    #[test]
+    fn nocache_prefetch_order_ignores_input_order() {
+        assert!(order_ignores_input_order(PolicyKind::None).is_empty());
+    }
+
     #[test]
     fn lru_repeat_calls_are_idempotent() {
         assert_eq!(repeat_calls_agree(PolicyKind::Lru), (vec![], vec![]));

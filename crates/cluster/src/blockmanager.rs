@@ -78,6 +78,13 @@ pub trait CachePolicy {
     /// one ranking per *node* and re-filter it per executor (by free cache
     /// space) instead of re-scoring every candidate per executor. The
     /// default (no prefetching) leaves `out` empty.
+    ///
+    /// **Input-order contract.** `out` must not depend on the order of
+    /// `candidates`: any permutation of the same set yields the same
+    /// ranking, so ties need a total tie-break (the policies here break
+    /// them by block id). The simulator's candidate pools are in
+    /// materialisation order only until a lineage resubmission revives a
+    /// dead block, which is appended to the end.
     fn prefetch_order(
         &mut self,
         _candidates: &[BlockId],

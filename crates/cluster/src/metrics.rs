@@ -59,6 +59,15 @@ pub struct CacheStats {
     /// proactive sweeps); the rest found no input changed since the last
     /// idle pass and skipped it. Always `<= ticks`.
     pub maint_passes: u64,
+    /// Per-node filter passes of the prefetch scan: one per node with an
+    /// executor that may prefetch, per maintenance pass.
+    pub prefetch_node_filters: u64,
+    /// Pool entries those filter passes walked. The pool drops a dead
+    /// block on its first visit, so this follows the live disk blocks,
+    /// not every block a finished job left behind. (Debug builds also
+    /// filter on quiet ticks and drop dead blocks sooner, so they can
+    /// count fewer.)
+    pub prefetch_pool_visits: u64,
 }
 
 impl CacheStats {
@@ -244,6 +253,16 @@ pub struct SchedulerStats {
     /// Residency flips that ran the inverted index's reader diff; the
     /// rest touched a block no active stage reads.
     pub inv_flip_diffs: u64,
+    /// Running primaries the per-tick speculation walk visited.
+    pub spec_primary_visits: u64,
+    /// Speculative copies launched onto an executor they no longer fit
+    /// (an earlier copy of the same tick took the room) in a fault-free
+    /// run, where the launch is not re-checked.
+    pub spec_oversubscriptions: u64,
+    /// `Release` deltas that left an executor's free resources above its
+    /// capacity: the phantom room an over-subscribing launch leaves once
+    /// the saturating `Consume` under-counted it.
+    pub ledger_over_capacity: u64,
 }
 
 /// Fault-injection and recovery counters. All zero in fault-free runs.
@@ -266,6 +285,9 @@ pub struct FaultStats {
     pub stage_resubmissions: u64,
     /// Executors blacklisted for consecutive task failures.
     pub execs_blacklisted: u64,
+    /// Dead blocks (no remaining reader) a lineage resubmission made live
+    /// again.
+    pub blocks_revived: u64,
 }
 
 /// Everything measured during one run.
@@ -427,6 +449,8 @@ impl SimResult {
         r.counter("cache/resident_end", c.resident_end);
         r.counter("cache/ticks", c.ticks);
         r.counter("cache/maint_passes", c.maint_passes);
+        r.counter("cache/prefetch_node_filters", c.prefetch_node_filters);
+        r.counter("cache/prefetch_pool_visits", c.prefetch_pool_visits);
         r.gauge("cache/hit_ratio", c.hit_ratio());
         r.gauge("cache/byte_hit_ratio", c.byte_hit_ratio());
         let s = &self.metrics.sched;
@@ -446,6 +470,9 @@ impl SimResult {
         r.counter("sched/inv_index_rebuilds", s.inv_index_rebuilds);
         r.counter("sched/inv_stage_activations", s.inv_stage_activations);
         r.counter("sched/inv_flip_diffs", s.inv_flip_diffs);
+        r.counter("sched/spec_primary_visits", s.spec_primary_visits);
+        r.counter("sched/spec_oversubscriptions", s.spec_oversubscriptions);
+        r.counter("sched/ledger_over_capacity", s.ledger_over_capacity);
         let f = &self.metrics.faults;
         r.counter("faults/exec_crashes", f.exec_crashes);
         r.counter("faults/exec_restarts", f.exec_restarts);
@@ -455,6 +482,7 @@ impl SimResult {
         r.counter("faults/tasks_recomputed", f.tasks_recomputed);
         r.counter("faults/stage_resubmissions", f.stage_resubmissions);
         r.counter("faults/execs_blacklisted", f.execs_blacklisted);
+        r.counter("faults/blocks_revived", f.blocks_revived);
         r.counter(
             "run/speculative_launched",
             u64::from(self.metrics.speculative_launched),

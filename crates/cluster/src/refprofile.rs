@@ -158,10 +158,15 @@ impl RefProfile {
     /// [`remove_use`](Self::remove_use), for lineage recovery resubmitting
     /// a finished task whose reads come back. Blocks outside the profiled
     /// DAG (no `rebuild` yet) are ignored, matching the lookup side.
-    pub fn add_use(&mut self, b: BlockId, stage: StageId) {
-        if let Some(i) = self.idx(b) {
-            self.uses[i].push(StageRef { stage });
-        }
+    /// Returns whether the use revived a dead block: `is_live(b)` turned
+    /// from false to true. No other method makes a dead block live.
+    pub fn add_use(&mut self, b: BlockId, stage: StageId) -> bool {
+        let Some(i) = self.idx(b) else {
+            return false;
+        };
+        let v = &mut self.uses[i];
+        v.push(StageRef { stage });
+        v.len() == 1
     }
 
     /// Does any future use remain?
@@ -262,6 +267,21 @@ mod tests {
         assert!(!p.is_live(BlockId::new(RddId(3), 0)));
         assert!(p.is_live(BlockId::new(RddId(3), 1)));
         assert!(!p.is_live(BlockId::new(RddId(3), 2)));
+    }
+
+    #[test]
+    fn add_use_reports_only_revivals() {
+        let (_, mut p) = profile_at_start();
+        let b = BlockId::new(RddId(2), 0);
+        // Live already (stage 4 reads it): a second use is no revival.
+        assert!(!p.add_use(b, StageId(3)));
+        p.remove_use(b, StageId(3));
+        p.remove_use(b, StageId(3));
+        assert!(!p.is_live(b));
+        assert!(p.add_use(b, StageId(3)));
+        assert!(p.is_live(b));
+        // Blocks outside the profiled DAG stay dead.
+        assert!(!p.add_use(BlockId::new(RddId(9), 0), StageId(0)));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use dagon_dag::{BlockId, JobDag, PriorityTracker, Resources, SimTime, StageId, T
 use dagon_obs::{EvictReason, KillReason, NullSink, SchedDecision, TraceEvent, TraceSink};
 
 use crate::blockmanager::{BlockManager, CachePolicy, InsertOutcome};
-use crate::config::{ClusterConfig, ReadTier};
+use crate::config::{ClusterConfig, ReadTier, SpeculationConfig};
 use crate::event::{Event, EventQueue, ViewDelta};
 use crate::fault::{FaultKind, FaultRuntime};
 use crate::hdfs::DataMap;
@@ -32,7 +32,7 @@ use crate::metrics::{CacheStats, Metrics, SimResult, TaskRun, TimePoint};
 use crate::pending::PendingSet;
 use crate::refprofile::RefProfile;
 use crate::scheduler::{Assignment, Scheduler};
-use crate::topology::{ExecId, Topology};
+use crate::topology::{ExecId, NodeId, Topology};
 use crate::view::{ClusterView, SimView, StageRuntime, TaskView};
 
 /// Hard ceiling on simulated time; reaching it means the configuration can
@@ -63,6 +63,27 @@ fn sync_ready(
     cview.set_stage_schedulable(si, on);
 }
 
+/// Scheduler stand-in for launches that bypass the scheduler
+/// (speculative copies): it is told nothing and never picks.
+struct NopScheduler;
+
+impl Scheduler for NopScheduler {
+    fn name(&self) -> String {
+        "nop".into()
+    }
+    fn schedule(&mut self, _v: &SimView<'_>) -> Vec<Assignment> {
+        Vec::new()
+    }
+}
+
+/// Insert `d` into the ascending `durs`, keeping it sorted. After the
+/// insert `durs[durs.len() / 2]` is the median a clone-and-sort of the
+/// same history picks: both are ascending sequences of one multiset.
+fn insert_sorted(durs: &mut Vec<u64>, d: u64) {
+    let at = durs.partition_point(|&x| x <= d);
+    durs.insert(at, d);
+}
+
 struct RunningAttempt {
     exec: ExecId,
     start: SimTime,
@@ -79,6 +100,8 @@ struct RunningAttempt {
 // lint: incremental(data, mutators = [run, handle, with_jobs, launch, finish_task, complete_stage, proactive_sweeps, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted, activate_stage, release_stage], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(maint_dirty, mutators = [handle, launch, tick_maintenance], oracle = maintenance_pass)
+// lint: incremental(disk_by_node, mutators = [finish_task, prefetch_scan, exec_crash, return_to_pools], init = [new], oracle = check_prefetch_pool)
+// lint: incremental(stage_durations, mutators = [finish_task], init = [new], oracle = speculation_by_stage)
 pub struct Simulation {
     dag: JobDag,
     cfg: ClusterConfig,
@@ -91,9 +114,14 @@ pub struct Simulation {
     /// Block residency: the incremental locality index owning the
     /// authoritative [`DataMap`].
     data: LocalityIndex,
-    /// node → cache-eligible (`rdd.cached`) blocks on that node's disk:
-    /// the prefetch scan's candidate pool. Blocks of uncached RDDs are
-    /// never prefetch candidates, so they are never listed.
+    /// node → live cache-eligible (`rdd.cached`) blocks on that node's
+    /// disk: the prefetch scan's candidate pool. Blocks of uncached RDDs
+    /// are never prefetch candidates, so they are never listed. A block
+    /// whose last reader finished is dropped the first time the scan's
+    /// node filter finds it dead; only a lineage resubmission revives it
+    /// ([`Self::return_to_pools`]), which appends it again. So the pool
+    /// may still hold a dead block the scan has not visited yet, but it
+    /// never misses a live one ([`Self::check_prefetch_pool`]).
     disk_by_node: Vec<Vec<BlockId>>,
     stages: Vec<StageRuntime>,
     /// stage → task → (block, MiB) inputs. `Arc` so a launch can hold the
@@ -104,6 +132,8 @@ pub struct Simulation {
     /// recomputed inside every `est_finish_ms` call).
     narrow_mb: Vec<f64>,
     task_done: Vec<Vec<bool>>,
+    /// stage → winning attempts' durations, ascending ([`insert_sorted`]
+    /// in `finish_task`), so the speculation median is one index.
     stage_durations: Vec<Vec<u64>>,
     profile: RefProfile,
     tracker: PriorityTracker,
@@ -111,8 +141,9 @@ pub struct Simulation {
     metrics: Metrics,
     now: SimTime,
     /// Live attempts, keyed `(task, attempt)`. A BTreeMap so every
-    /// iteration (crash kill lists, speculation candidates, loser scans)
-    /// is in deterministic key order by construction.
+    /// iteration (crash kill lists, loser scans, the speculation walk) is
+    /// in deterministic key order by construction. Key order is (stage,
+    /// task index, attempt), the order speculative copies launch in.
     running: BTreeMap<(TaskId, u32), RunningAttempt>,
     /// Attempt keys whose still-queued finish/fail event must be swallowed
     /// (cancelled losers, crash victims). Membership-only: never iterated,
@@ -151,9 +182,10 @@ pub struct Simulation {
     /// Reused `prefetch_scan` candidate buffer (the per-exec-per-tick
     /// collect was a measured allocation hot spot).
     prefetch_buf: Vec<BlockId>,
-    /// Reused per-node shared filter buffer for `prefetch_scan`: the
-    /// residency/liveness pass over `disk_by_node` is executor-independent
-    /// and runs once per node per scan, not once per executor.
+    /// Reused per-node candidate buffer for `prefetch_scan`: the live
+    /// blocks of one node's `disk_by_node` pool that are cached nowhere.
+    /// The filter is executor-independent, so it runs once per node per
+    /// scan, not once per executor.
     prefetch_node_buf: Vec<BlockId>,
     /// Something the Tick's cache maintenance reads may have changed since
     /// its last pass, or that pass acted; see [`Self::tick_maintenance`].
@@ -233,7 +265,13 @@ impl Simulation {
             .iter()
             .map(|s| vec![false; s.num_tasks as usize])
             .collect();
-        let stage_durations = vec![Vec::new(); dag.num_stages()];
+        // One duration per task in a fault-free run: sized up front, the
+        // sorted inserts never reallocate.
+        let stage_durations = dag
+            .stages()
+            .iter()
+            .map(|s| Vec::with_capacity(s.num_tasks as usize))
+            .collect();
         let tracker = PriorityTracker::from_dag(&dag);
         let mut profile = RefProfile::default();
         profile.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
@@ -1005,7 +1043,7 @@ impl Simulation {
         let slot = &mut sm.finished_by_locality[ra.locality.index()];
         slot.0 += 1;
         slot.1 += dur;
-        self.stage_durations[task.stage.index()].push(dur);
+        insert_sorted(&mut self.stage_durations[task.stage.index()], dur);
         if ra.speculative {
             self.metrics.speculative_won += 1;
         }
@@ -1144,6 +1182,11 @@ impl Simulation {
             exec,
             demand: ra.demand,
         });
+        if !self.cfg.exec_capacity.fits(self.cview.free_of(exec)) {
+            // The release returned resources a saturating `Consume` never
+            // took: an over-subscribing speculative launch.
+            self.metrics.sched.ledger_over_capacity += 1;
+        }
         if let Some(jobs) = self.jobs.as_mut() {
             jobs.on_cores_released(task.stage, ra.demand.cpus);
         }
@@ -1342,11 +1385,15 @@ impl Simulation {
             self.metrics.cache.maint_passes += 1;
             self.maint_dirty = self.maintenance_pass();
         } else if cfg!(debug_assertions) {
+            // The oracle pass leaves the scan counters as release builds
+            // count them.
+            let counted = self.metrics.cache;
             let acted = self.maintenance_pass();
             debug_assert!(
                 !acted,
                 "quiet tick: cache maintenance acted with no state change since its last idle pass"
             );
+            self.metrics.cache = counted;
         }
     }
 
@@ -1385,6 +1432,10 @@ impl Simulation {
             Some(f) => f,
             None => return,
         };
+        debug_assert!(
+            self.check_prefetch_pool(),
+            "prefetch pool misses a live cache-eligible disk block, or lists one twice"
+        );
         // Both buffers are owned by the simulation and reused across
         // executors and scans: prefetch scans fire every tick, and the
         // per-scan `Vec` allocation showed up in the BENCH_3 profile.
@@ -1414,16 +1465,25 @@ impl Simulation {
             if node != cur_node {
                 cur_node = node;
                 node_buf.clear();
-                for &b in &self.disk_by_node[node] {
+                let pool = &mut self.disk_by_node[node];
+                self.metrics.cache.prefetch_node_filters += 1;
+                self.metrics.cache.prefetch_pool_visits += pool.len() as u64;
+                let (profile, data) = (&self.profile, &self.data);
+                pool.retain(|&b| {
+                    // A dead block stays dead until a lineage resubmission
+                    // puts it back (`return_to_pools`): drop it for good.
+                    if !profile.is_live(b) {
+                        return false;
+                    }
                     // "prefetches the in-disk data block": only blocks not
                     // in memory anywhere — duplicating an already-cached
                     // block concentrates process-locality instead of
-                    // widening it. (`disk_by_node` lists cache-eligible
-                    // blocks only.)
-                    if self.profile.is_live(b) && !self.data.is_cached_anywhere(b) {
+                    // widening it.
+                    if !data.is_cached_anywhere(b) {
                         node_buf.push(b);
                     }
-                }
+                    true
+                });
                 self.bms[i].prefetch_order(&node_buf, &self.profile, &mut order);
             }
             let free = self.bms[i].free_mb();
@@ -1446,6 +1506,53 @@ impl Simulation {
         }
         self.prefetch_buf = order;
         self.prefetch_node_buf = node_buf;
+    }
+
+    /// Put a block a lineage resubmission revived back into the pool of
+    /// every node whose disk holds it. The scan may have dropped it from
+    /// some of those pools while it was dead, and not yet from others.
+    fn return_to_pools(&mut self, b: BlockId) {
+        if !self.dag.rdd(b.rdd).cached {
+            return;
+        }
+        for &n in self.data.data().disk_nodes(b) {
+            let pool = &mut self.disk_by_node[n.index()];
+            if !pool.contains(&b) {
+                pool.push(b);
+            }
+        }
+    }
+
+    /// Oracle for `disk_by_node`, from the DAG, the disk residency and the
+    /// reference profile: each node's pool holds only cache-eligible
+    /// blocks on that node's disk, none twice, and every live one.
+    fn check_prefetch_pool(&self) -> bool {
+        let mut sorted = self.disk_by_node.clone();
+        for (n, pool) in sorted.iter_mut().enumerate() {
+            pool.sort_unstable();
+            if pool.windows(2).any(|w| w[0] == w[1]) {
+                return false;
+            }
+            let node = NodeId(n as u32);
+            if pool.iter().any(|&b| {
+                !self.dag.rdd(b.rdd).cached || !self.data.data().disk_nodes(b).contains(&node)
+            }) {
+                return false;
+            }
+        }
+        self.dag
+            .rdds()
+            .iter()
+            .filter(|r| r.cached)
+            .flat_map(|r| r.blocks())
+            .filter(|&b| self.profile.is_live(b))
+            .all(|b| {
+                self.data
+                    .data()
+                    .disk_nodes(b)
+                    .iter()
+                    .all(|n| sorted[n.index()].binary_search(&b).is_ok())
+            })
     }
 
     fn prefetch_arrive(&mut self, block: BlockId, exec: ExecId) {
@@ -1481,32 +1588,143 @@ impl Simulation {
     // Speculation (§IV)
     // ------------------------------------------------------------------
 
+    /// Launch a speculative copy of every straggling primary: one whose
+    /// elapsed time exceeds `multiplier ×` its stage's median finished
+    /// duration, once `quantile` of the stage's tasks finished. One walk
+    /// over `running` in key order, so the cost follows the running
+    /// attempts, not the DAG; a stage's threshold is computed when the
+    /// walk meets its first primary. Copies launch in (stage, task index)
+    /// order against the free resources as they were before the first
+    /// of them.
     fn speculation_check(&mut self) {
         let spec = self.cfg.speculation.unwrap();
         let mut to_launch: Vec<(TaskId, Assignment)> = Vec::new();
+        // The stage the walk is in and its threshold (`None`: the stage
+        // is not speculating).
+        let mut cur: Option<(StageId, Option<f64>)> = None;
+        let mut visits = 0u64;
+        for (&(task, _), ra) in &self.running {
+            // Primaries are `!speculative` (attempt ids are not fixed
+            // under retries).
+            if ra.speculative {
+                continue;
+            }
+            visits += 1;
+            let threshold = match cur {
+                Some((s, t)) if s == task.stage => t,
+                _ => {
+                    let t = self.spec_threshold(task.stage, spec);
+                    cur = Some((task.stage, t));
+                    t
+                }
+            };
+            if let Some(threshold) = threshold {
+                if let Some(a) = self.spec_target(task, ra, threshold) {
+                    to_launch.push((task, a));
+                }
+            }
+        }
+        self.metrics.sched.spec_primary_visits += visits;
+        debug_assert_eq!(
+            to_launch,
+            self.speculation_by_stage(spec),
+            "speculation walk over running primaries disagrees with the per-stage scan"
+        );
+        for (task, a) in to_launch {
+            // Candidates were collected against a snapshot of `exec_free`;
+            // earlier launches in this very loop may have consumed the last
+            // slot. Fault-free lineups keep the historical (golden-pinned)
+            // behavior, where such a transient over-subscription is absorbed
+            // by the saturating ledger (and counted); with crashes shrinking
+            // the pool the collision becomes routine and corrupts
+            // free-resource accounting, so re-check and skip without burning
+            // the task's speculation shot — it can re-arm on the next sweep.
+            if !self
+                .cview
+                .free_of(a.exec)
+                .fits(self.dag.stage(a.stage).demand)
+            {
+                if self.faults.enabled() {
+                    continue;
+                }
+                self.metrics.sched.spec_oversubscriptions += 1;
+            }
+            self.spec_launched.insert(task);
+            self.launch(a, true, &mut NopScheduler);
+        }
+    }
+
+    /// Stage `s`'s straggler threshold in ms, or `None` while it does not
+    /// speculate: completed, nothing running, or fewer than `quantile` of
+    /// its tasks finished.
+    fn spec_threshold(&self, s: StageId, spec: SpeculationConfig) -> Option<f64> {
+        let srt = &self.stages[s.index()];
+        if srt.completed || srt.running == 0 {
+            return None;
+        }
+        let needed = (spec.quantile * self.dag.stage(s).num_tasks as f64).ceil() as u32;
+        if srt.finished < needed.max(1) {
+            return None;
+        }
+        let durs = &self.stage_durations[s.index()];
+        debug_assert!(durs.is_sorted(), "stage {s} durations lost their order");
+        let med = *durs.get(durs.len() / 2)?;
+        Some(spec.multiplier * med as f64)
+    }
+
+    /// The speculative copy of primary `ra` of `task` if it is a
+    /// straggler past `threshold`: the best-locality usable executor with
+    /// room for it, most free cpus first among equals, other than the one
+    /// running the primary.
+    fn spec_target(&self, task: TaskId, ra: &RunningAttempt, threshold: f64) -> Option<Assignment> {
+        if self.spec_launched.contains(&task)
+            || self.task_done[task.stage.index()][task.index as usize]
+            || (self.now - ra.start) as f64 <= threshold
+        {
+            return None;
+        }
+        let demand = self.dag.stage(task.stage).demand;
+        let mut best: Option<(Locality, u32, ExecId)> = None;
+        for e in 0..self.cview.num_execs() {
+            let exec = ExecId(e as u32);
+            if exec == ra.exec
+                || !self.faults.usable_idx(e)
+                || !self.cview.free_of(exec).fits(demand)
+            {
+                continue;
+            }
+            let l = self.locality_of(task.stage, task.index, exec);
+            let free = self.cview.free_of(exec).cpus;
+            if best.is_none_or(|(bl, bf, _)| l < bl || (l == bl && free > bf)) {
+                best = Some((l, free, exec));
+            }
+        }
+        best.map(|(l, _, exec)| Assignment {
+            stage: task.stage,
+            task_index: task.index,
+            exec,
+            locality: l,
+        })
+    }
+
+    /// Oracle for the speculation walk and `stage_durations`: the
+    /// from-scratch per-stage scan it replaced. Every stage in id order,
+    /// the median from a sorted clone of its durations, its primaries
+    /// filtered out of all of `running` and sorted by task index.
+    fn speculation_by_stage(&self, spec: SpeculationConfig) -> Vec<(TaskId, Assignment)> {
+        let mut out = Vec::new();
         for s in self.dag.stage_ids() {
-            let st = self.dag.stage(s);
             let srt = &self.stages[s.index()];
             if srt.completed || srt.running == 0 {
                 continue;
             }
-            let needed = (spec.quantile * st.num_tasks as f64).ceil() as u32;
-            if srt.finished < needed.max(1) {
+            let needed = (spec.quantile * self.dag.stage(s).num_tasks as f64).ceil() as u32;
+            if srt.finished < needed.max(1) || self.stage_durations[s.index()].is_empty() {
                 continue;
             }
-            let durs = &self.stage_durations[s.index()];
-            if durs.is_empty() {
-                continue;
-            }
-            let mut sorted = durs.clone();
+            let mut sorted = self.stage_durations[s.index()].clone();
             sorted.sort_unstable();
-            let med = sorted[sorted.len() / 2] as f64;
-            let threshold = spec.multiplier * med;
-            // BTreeMap iteration is already key-ordered, but keep the
-            // explicit sort: the launch order below consumes resources and
-            // the RNG stream, and a canonical order must not depend on the
-            // container. Primaries are `!speculative` (attempt ids are not
-            // fixed under retries).
+            let threshold = spec.multiplier * sorted[sorted.len() / 2] as f64;
             let mut candidates: Vec<(TaskId, &RunningAttempt)> = self
                 .running
                 .iter()
@@ -1515,75 +1733,12 @@ impl Simulation {
                 .collect();
             candidates.sort_by_key(|(t, _)| t.index);
             for (task, ra) in candidates {
-                if self.spec_launched.contains(&task)
-                    || self.task_done[s.index()][task.index as usize]
-                {
-                    continue;
-                }
-                if (self.now - ra.start) as f64 <= threshold {
-                    continue;
-                }
-                // Pick the best-locality executor with room, excluding the
-                // one already running the primary attempt.
-                let mut best: Option<(Locality, u32, ExecId)> = None;
-                for e in 0..self.cview.num_execs() {
-                    let exec = ExecId(e as u32);
-                    if exec == ra.exec
-                        || !self.faults.usable_idx(e)
-                        || !self.cview.free_of(exec).fits(st.demand)
-                    {
-                        continue;
-                    }
-                    let l = self.locality_of(s, task.index, exec);
-                    let free = self.cview.free_of(exec).cpus;
-                    if best.is_none_or(|(bl, bf, _)| l < bl || (l == bl && free > bf)) {
-                        best = Some((l, free, exec));
-                    }
-                }
-                if let Some((l, _, exec)) = best {
-                    to_launch.push((
-                        task,
-                        Assignment {
-                            stage: s,
-                            task_index: task.index,
-                            exec,
-                            locality: l,
-                        },
-                    ));
+                if let Some(a) = self.spec_target(task, ra, threshold) {
+                    out.push((task, a));
                 }
             }
         }
-        for (task, a) in to_launch {
-            // Candidates were collected against a snapshot of `exec_free`;
-            // earlier launches in this very loop may have consumed the last
-            // slot. Fault-free lineups keep the historical (golden-pinned)
-            // behavior, where such a transient over-subscription is absorbed
-            // by the saturating ledger; with crashes shrinking the pool the
-            // collision becomes routine and corrupts free-resource
-            // accounting, so re-check and skip without burning the task's
-            // speculation shot — it can re-arm on the next sweep.
-            if self.faults.enabled()
-                && !self
-                    .cview
-                    .free_of(a.exec)
-                    .fits(self.dag.stage(a.stage).demand)
-            {
-                continue;
-            }
-            self.spec_launched.insert(task);
-            // Speculative launches bypass the scheduler; a no-op scheduler
-            // reference is not available here, so use a tiny shim.
-            struct Nop;
-            impl Scheduler for Nop {
-                fn name(&self) -> String {
-                    "nop".into()
-                }
-                fn schedule(&mut self, _v: &SimView<'_>) -> Vec<Assignment> {
-                    Vec::new()
-                }
-            }
-            self.launch(a, true, &mut Nop);
-        }
+        out
     }
 
     // ------------------------------------------------------------------
@@ -1916,9 +2071,14 @@ impl Simulation {
             self.data.on_pending_inserted(si, k);
         }
         // The task's input reads re-enter the master's reference profile
-        // (they were removed when it finished).
-        for &(b, _) in self.task_inputs[si][k as usize].iter() {
-            self.profile.add_use(b, ps);
+        // (they were removed when it finished). A block they revive goes
+        // back into the prefetch pools.
+        let inputs = Arc::clone(&self.task_inputs[si][k as usize]);
+        for &(b, _) in inputs.iter() {
+            if self.profile.add_use(b, ps) {
+                self.metrics.faults.blocks_revived += 1;
+                self.return_to_pools(b);
+            }
         }
         let work = self.dag.stage(ps).task_work(k);
         self.tracker.on_task_requeued(TaskId::new(ps, k), work);
@@ -2236,6 +2396,96 @@ mod tests {
         assert_eq!(res.metrics.cache.lost, 1, "block was not resident at 4.8s");
         assert!(res.metrics.cache.insertions > 0);
         assert_eq!(res.metrics.faults.tasks_recomputed, 0);
+        assert_recovered(&dag, &res);
+    }
+
+    #[test]
+    fn sorted_insert_median_matches_clone_and_sort() {
+        // A duration history with runs of ties, in arrival order: after
+        // every insert the kept vector is the sorted history, so its
+        // middle entry is the clone-and-sort median.
+        let mut durs = Vec::new();
+        let mut history = Vec::new();
+        let mut x = 7u64;
+        for _ in 0..200 {
+            x = (x * 37 + 11) % 101;
+            let d = 500 + (x % 9) * 100; // 9 distinct values: many ties
+            insert_sorted(&mut durs, d);
+            history.push(d);
+            let mut sorted = history.clone();
+            sorted.sort_unstable();
+            assert_eq!(durs, sorted);
+            assert_eq!(durs[durs.len() / 2], sorted[sorted.len() / 2]);
+        }
+    }
+
+    /// `tiny_chain(8, 500)` with a cache-eligible HDFS input, so its
+    /// blocks sit in the prefetch pool from the start and die when the
+    /// scan stage finishes.
+    fn cached_input_chain() -> (JobDag, dagon_dag::RddId) {
+        let mut b = dagon_dag::DagBuilder::new("cached_input_chain");
+        let input = b.hdfs_rdd_cached("in", 8, 64.0, true);
+        let (_, r) = b
+            .stage("scan")
+            .tasks(8)
+            .cpu_ms(500)
+            .reads_narrow(input)
+            .cache_output()
+            .build();
+        let _ = b.stage("agg").tasks(5).cpu_ms(250).reads_wide(r).build();
+        (b.build().unwrap(), input)
+    }
+
+    #[test]
+    fn prefetch_pool_drops_dead_blocks_and_takes_revived_ones_back() {
+        let (dag, input) = cached_input_chain();
+        let mut cfg = ClusterConfig::tiny(1, 2);
+        cfg.prefetch_free_frac = Some(0.0);
+        let mut sim = Simulation::new(dag, cfg, || Box::new(AdmitAll(Vec::new())));
+        let b = BlockId::new(input, 3);
+        assert!(sim.disk_by_node[0].contains(&b));
+        // Its only reader finishes: the next node filter drops it.
+        sim.profile.remove_use(b, StageId(0));
+        sim.prefetch_scan();
+        assert!(!sim.disk_by_node[0].contains(&b));
+        assert!(sim.check_prefetch_pool());
+        // A lineage resubmission revives it. Until it is returned, the
+        // pool misses a live block and the oracle says so.
+        assert!(sim.profile.add_use(b, StageId(0)));
+        assert!(!sim.check_prefetch_pool());
+        // It is appended once, however often it is returned.
+        sim.return_to_pools(b);
+        sim.return_to_pools(b);
+        assert_eq!(sim.disk_by_node[0].iter().filter(|&&x| x == b).count(), 1);
+        assert_eq!(sim.disk_by_node[0].last(), Some(&b));
+        assert!(sim.check_prefetch_pool());
+    }
+
+    #[test]
+    fn lineage_revival_of_a_dead_cached_input_completes() {
+        // The scan stage finishes at ~4.2 s and its cached HDFS input
+        // blocks die; the prefetch scan drops them from the pool. The
+        // crash at 4.5 s destroys the scan outputs, and resubmitting the
+        // scan tasks revives their inputs, which re-enter the pool. Debug
+        // builds check the pool against its oracle on every pass.
+        let (dag, _) = cached_input_chain();
+        let mut cfg = ClusterConfig::tiny(1, 2);
+        cfg.prefetch_free_frac = Some(0.0);
+        cfg.faults = Some(FaultPlan::none().and(
+            4500,
+            FaultKind::ExecCrash {
+                exec: ExecId(0),
+                restart_after_ms: Some(2000),
+            },
+        ));
+        let res = run_cached(dag.clone(), cfg);
+        let f = &res.metrics.faults;
+        assert!(
+            f.stage_resubmissions >= 1,
+            "scan stage was not reopened: {f:?}"
+        );
+        assert!(f.blocks_revived > 0, "no dead input was revived: {f:?}");
+        assert!(res.metrics.cache.prefetch_node_filters > 0);
         assert_recovered(&dag, &res);
     }
 

@@ -149,12 +149,15 @@ const REGISTRY_KEYS: &[&str] = &[
     "cache/maint_passes",
     "cache/miss_kb",
     "cache/misses",
+    "cache/prefetch_node_filters",
+    "cache/prefetch_pool_visits",
     "cache/prefetch_used",
     "cache/prefetches",
     "cache/proactive_evictions",
     "cache/resident_end",
     "cache/ticks",
     "faults/attempts_killed",
+    "faults/blocks_revived",
     "faults/disk_blocks_lost",
     "faults/exec_crashes",
     "faults/exec_restarts",
@@ -180,9 +183,12 @@ const REGISTRY_KEYS: &[&str] = &[
     "sched/inv_index_rebuilds",
     "sched/inv_index_updates",
     "sched/inv_stage_activations",
+    "sched/ledger_over_capacity",
     "sched/locality_queries",
     "sched/ready_list_rebuilds",
     "sched/schedule_invocations",
+    "sched/spec_oversubscriptions",
+    "sched/spec_primary_visits",
     "sched/valid_level_rebuilds",
     "sched/view_deltas",
     "sched/view_rebuilds",
